@@ -276,11 +276,9 @@ func (s *Server) ExecUpdate(su wire.SealedUpdate) (int, uint64, error) {
 // Confirmed is one update that has passed the monitoring gate: applied to
 // the master database at position Seq and confirmed to the DSSP tier. The
 // OnConfirm sink receives these in strict sequence order — the stream a
-// read replica replays to reconstruct the master database.
-type Confirmed struct {
-	Seq    uint64
-	Update wire.SealedUpdate
-}
+// read replica replays to reconstruct the master database. The type lives
+// in package wire, which owns the replica stream's frame encoding.
+type Confirmed = wire.Confirmed
 
 // OnConfirm registers the confirmation sink: it is invoked with each
 // contiguous, sequence-ordered batch of confirmed updates as the

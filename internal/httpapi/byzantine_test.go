@@ -1,9 +1,8 @@
 package httpapi
 
 import (
-	"bytes"
 	"context"
-	"encoding/gob"
+	"errors"
 	"net/http"
 	"net/http/httptest"
 	"testing"
@@ -19,24 +18,32 @@ import (
 // TestByzantineNodeCannotForgeResults: the paper's security model says the
 // DSSP must be prevented from tampering with master data. A malicious node
 // that fabricates or corrupts an encrypted result cannot get it past the
-// client: the SIV authentication fails on decryption.
+// client: the SIV authentication fails on decryption. The forged reply is
+// a well-formed frame, so the rejection must come from result
+// authentication, not from the frame decoder.
 func TestByzantineNodeCannotForgeResults(t *testing.T) {
 	app := apps.Toystore()
 	exps := map[string]template.Exposure{"Q2": template.ExpStmt} // results encrypted
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), exps)
 
 	// A node that answers every query with attacker-chosen bytes.
+	forged := wire.QueryResponse{Result: wire.SealedResult{Cipher: []byte("forged-ciphertext-bytes")}, Hit: true}
 	evil := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		forged := QueryResponse{Result: wire.SealedResult{Cipher: []byte("forged-ciphertext-bytes")}, Hit: true}
-		var buf bytes.Buffer
-		_ = gob.NewEncoder(&buf).Encode(forged)
-		_, _ = w.Write(buf.Bytes())
+		_, _ = w.Write(forged.AppendFrame(nil))
 	}))
 	defer evil.Close()
 
+	var decoded wire.QueryResponse
+	if err := decoded.DecodeFrame(forged.AppendFrame(nil)); err != nil {
+		t.Fatalf("forged reply is not a valid frame: %v", err)
+	}
 	client := NewClient(codec, evil.URL, evil.Client())
-	if _, err := client.Query(context.Background(), app.Query("Q2"), 5); err == nil {
+	_, err := client.Query(context.Background(), app.Query("Q2"), 5)
+	if err == nil {
 		t.Fatal("forged encrypted result accepted by the client")
+	}
+	if !errors.Is(err, encrypt.ErrTampered) || errors.Is(err, wire.ErrMalformed) {
+		t.Fatalf("forged result rejected by the wrong check: %v", err)
 	}
 }
 

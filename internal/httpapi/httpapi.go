@@ -4,11 +4,13 @@
 // topology — clients near a DSSP node, the node far from the home server —
 // becomes three processes connected by HTTP.
 //
-// Messages are the sealed types of package wire, gob-encoded. The node
-// never holds keys: it receives sealed queries, serves them from its cache
-// or forwards the opaque payload to the home server, and monitors
-// completed updates for invalidation, exactly as in the in-process
-// pathway.
+// Messages are the sealed envelopes of package wire, one canonical frame
+// per request or response body (wire's frame grammar); JSON serves only
+// the admin and debug endpoints. Every listener that decodes a frame
+// bounds the body at MaxFrameBytes. The node never holds keys: it
+// receives sealed queries, serves them from its cache or forwards the
+// opaque payload to the home server, and monitors completed updates for
+// invalidation, exactly as in the in-process pathway.
 //
 // Every process exposes GET /v1/metrics — a snapshot of its obs.Registry
 // in JSON (default) or the Prometheus text exposition format
@@ -20,8 +22,8 @@ package httpapi
 import (
 	"bytes"
 	"context"
-	"encoding/gob"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -104,27 +106,6 @@ const (
 	PartitionHeader  = "X-DSSP-Partition"
 )
 
-// QueryResponse is the node's answer to a sealed query.
-type QueryResponse struct {
-	Result wire.SealedResult
-	Hit    bool
-}
-
-// UpdateResponse is the node's answer to a sealed update. Seq is the
-// update's confirmed sequence in the home server's serialization order
-// (0 from pre-sequencing nodes).
-type UpdateResponse struct {
-	Affected    int
-	Invalidated int
-	Seq         uint64
-}
-
-// InvalidateResponse is the node's answer to a fanned-out invalidation:
-// the update was confirmed elsewhere and this node only monitored it.
-type InvalidateResponse struct {
-	Invalidated int
-}
-
 // DecisionsResponse is a node's invalidation-decision log and cache
 // fingerprint, served as JSON from PathDecisions so deployment checks
 // (the scale-out smoke test) can diff node state without process access.
@@ -145,49 +126,54 @@ type BucketDropResponse struct {
 	Dropped int `json:"dropped"`
 }
 
-// ExecQueryResponse is the home server's answer to a forwarded query.
-type ExecQueryResponse struct {
-	Result  wire.SealedResult
-	Empty   bool
-	Scanned int
-}
+// MaxFrameBytes bounds every frame body: a listener refuses a larger
+// request with 413 before decoding anything, and a client fails a round
+// trip whose response is larger. Sealed queries and updates are a few
+// hundred bytes; the bound leaves room for large view-exposure results
+// and replica-apply batches (the hub caps those at maxApplyBatch).
+const MaxFrameBytes = 16 << 20
 
-// ExecUpdateResponse is the home server's answer to a forwarded update.
-type ExecUpdateResponse struct {
-	Affected int
-	Seq      uint64
-}
+// frameContentType labels every frame body (and the migration stream).
+const frameContentType = "application/octet-stream"
 
-// gobBufPool recycles the staging buffers gob encoding writes into, so
-// the per-request buffer (and its growth to the message size) is not
-// re-allocated on every exchange. Buffers that grew past maxPooledGobBuf
-// are dropped instead of pinned in the pool.
-var gobBufPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
+// frameEncoder is a wire envelope that appends its own frame encoding;
+// frameDecoder is one that decodes itself from one frame.
+type (
+	frameEncoder interface {
+		AppendFrame(dst []byte) []byte
+	}
+	frameDecoder interface {
+		DecodeFrame(b []byte) error
+	}
+)
 
-const maxPooledGobBuf = 64 << 10
+// bodyPool recycles the buffers frames are encoded into and read into,
+// so the per-exchange buffer (and its growth to the message size) is not
+// re-allocated every time. Buffers that grew past maxPooledBody are
+// dropped instead of pinned in the pool.
+var bodyPool = sync.Pool{New: func() any { return new(bytes.Buffer) }}
 
-func getGobBuf() *bytes.Buffer { return gobBufPool.Get().(*bytes.Buffer) }
+const maxPooledBody = 64 << 10
 
-func putGobBuf(buf *bytes.Buffer) {
-	if buf.Cap() > maxPooledGobBuf {
+func getBody() *bytes.Buffer { return bodyPool.Get().(*bytes.Buffer) }
+
+func putBody(buf *bytes.Buffer) {
+	if buf.Cap() > maxPooledBody {
 		return
 	}
 	buf.Reset()
-	gobBufPool.Put(buf)
+	bodyPool.Put(buf)
 }
 
-// writeGob writes a gob response body. A failed Write means the client
-// saw a truncated response; that cannot be repaired at this point (the
-// status line is gone), but it must not be invisible — it is logged and
-// counted under http_write_errors in reg (nil skips the counter).
-func writeGob(reg *obs.Registry, w http.ResponseWriter, v any) {
-	buf := getGobBuf()
-	defer putGobBuf(buf)
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-		return
-	}
-	w.Header().Set("Content-Type", "application/x-gob")
+// writeFrame writes a frame response body. A failed Write means the
+// client saw a truncated response; that cannot be repaired at this point
+// (the status line is gone), but it must not be invisible — it is logged
+// and counted under http_write_errors in reg (nil skips the counter).
+func writeFrame(reg *obs.Registry, w http.ResponseWriter, f frameEncoder) {
+	buf := getBody()
+	defer putBody(buf)
+	buf.Write(f.AppendFrame(buf.AvailableBuffer()))
+	w.Header().Set("Content-Type", frameContentType)
 	if _, err := w.Write(buf.Bytes()); err != nil {
 		slog.Warn("httpapi: response write failed", "bytes", buf.Len(), "err", err)
 		if reg != nil {
@@ -196,58 +182,127 @@ func writeGob(reg *obs.Registry, w http.ResponseWriter, v any) {
 	}
 }
 
-func readGob(r io.Reader, v any) error {
-	return gob.NewDecoder(r).Decode(v)
+// readFrame decodes the request body as one frame into v. It answers a
+// failure itself — 413 past MaxFrameBytes, 400 for a malformed frame —
+// and reports whether the handler may go on.
+func readFrame(w http.ResponseWriter, r *http.Request, v frameDecoder) bool {
+	if r.ContentLength > MaxFrameBytes {
+		http.Error(w, fmt.Sprintf("frame exceeds %d bytes", MaxFrameBytes), http.StatusRequestEntityTooLarge)
+		return false
+	}
+	buf := getBody()
+	defer putBody(buf)
+	_, err := buf.ReadFrom(http.MaxBytesReader(w, r.Body, MaxFrameBytes))
+	if err == nil {
+		err = v.DecodeFrame(buf.Bytes())
+	}
+	if err != nil {
+		status := http.StatusBadRequest
+		if errors.As(err, new(*http.MaxBytesError)) {
+			status = http.StatusRequestEntityTooLarge
+		}
+		http.Error(w, err.Error(), status)
+		return false
+	}
+	return true
 }
 
-// post sends one gob request with the trace ID attached and decodes the
-// gob response. hdrs carries extra request headers (nil for none — e.g.
-// the confirmed-sequence staleness header on invalidation fan-out). The
-// context bounds the whole round trip. When idempotent is true (query
-// paths only), a connection-level error is retried once after a short
-// backoff — a response that arrived, whatever its status, is never
-// retried, and updates never are (a lost ack does not prove the update
-// was not applied). reg, when non-nil, counts retries.
-func post(ctx context.Context, client *http.Client, url, trace, parent string, hdrs http.Header, req, resp any, idempotent bool, reg *obs.Registry) error {
-	body, err := encodeGob(req)
-	if err != nil {
-		return err
-	}
-	r, err := doPost(ctx, client, url, trace, parent, hdrs, body)
-	if err != nil && idempotent && ctx.Err() == nil {
-		if reg != nil {
-			reg.Counter(obs.MHTTPRetries).Inc()
-		}
-		select {
-		case <-time.After(retryBackoff):
-		case <-ctx.Done():
-			return err
-		}
-		r, err = doPost(ctx, client, url, trace, parent, hdrs, body)
-	}
+// encodeFrame stages f's encoding in a pooled buffer and copies out a
+// right-sized request body: the transport may still read a body after
+// the response arrives, and retries resend it, so it cannot alias the
+// recycled buffer.
+func encodeFrame(f frameEncoder) []byte {
+	buf := getBody()
+	defer putBody(buf)
+	buf.Write(f.AppendFrame(buf.AvailableBuffer()))
+	return bytes.Clone(buf.Bytes())
+}
+
+// post sends one frame request with the trace ID attached and decodes the
+// frame response into resp. hdrs carries extra request headers (nil for
+// none — e.g. the confirmed-sequence staleness header on invalidation
+// fan-out). The context bounds the whole round trip. When idempotent is
+// true (query paths only), a connection-level error is retried once
+// after a short backoff — a response that arrived, whatever its status,
+// is never retried, and updates never are (a lost ack does not prove the
+// update was not applied). reg, when non-nil, counts retries.
+func post(ctx context.Context, client *http.Client, url, trace, parent string, hdrs http.Header, req frameEncoder, resp frameDecoder, idempotent bool, reg *obs.Registry) error {
+	r, err := send(ctx, client, url, trace, parent, hdrs, encodeFrame(req), idempotent, reg)
 	if err != nil {
 		return err
 	}
 	defer r.Body.Close()
+	return decodeResponse(url, r, resp)
+}
+
+// decodeResponse reads a 200 response body, bounded by MaxFrameBytes, as
+// one frame into v.
+func decodeResponse(url string, r *http.Response, v frameDecoder) error {
+	buf := getBody()
+	defer putBody(buf)
+	if err := readResponse(buf, url, r, MaxFrameBytes); err != nil {
+		return err
+	}
+	if err := v.DecodeFrame(buf.Bytes()); err != nil {
+		return fmt.Errorf("httpapi: %s: %w", url, err)
+	}
+	return nil
+}
+
+// postBytes sends one raw request body and returns the raw response
+// body. It is the migration stream's transport: bucket exports,
+// imports, and drops are all idempotent (exports copy, imports skip keys
+// the cache already holds, drops of an absent bucket are no-ops), so a
+// connection-level error is retried once like an idempotent query. The
+// stream is not a frame and its response is not bounded by MaxFrameBytes.
+func postBytes(ctx context.Context, client *http.Client, url string, body []byte, reg *obs.Registry) ([]byte, error) {
+	r, err := send(ctx, client, url, "", "", nil, body, true, reg)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Body.Close()
+	var buf bytes.Buffer
+	err = readResponse(&buf, url, r, 0)
+	return buf.Bytes(), err
+}
+
+// send performs one exchange, retrying a connection-level error once
+// after retryBackoff when retry is set and the context is still live.
+func send(ctx context.Context, client *http.Client, url, trace, parent string, hdrs http.Header, body []byte, retry bool, reg *obs.Registry) (*http.Response, error) {
+	r, err := doPost(ctx, client, url, trace, parent, hdrs, body)
+	if err == nil || !retry || ctx.Err() != nil {
+		return r, err
+	}
+	if reg != nil {
+		reg.Counter(obs.MHTTPRetries).Inc()
+	}
+	select {
+	case <-time.After(retryBackoff):
+	case <-ctx.Done():
+		return nil, err
+	}
+	return doPost(ctx, client, url, trace, parent, hdrs, body)
+}
+
+// readResponse reads a 200 response body into buf, failing past limit
+// bytes (0: unbounded). Any other status becomes an error carrying the
+// start of the body.
+func readResponse(buf *bytes.Buffer, url string, r *http.Response, limit int64) error {
 	if r.StatusCode != http.StatusOK {
 		msg, _ := io.ReadAll(io.LimitReader(r.Body, 4096))
 		return fmt.Errorf("httpapi: %s: %s: %s", url, r.Status, bytes.TrimSpace(msg))
 	}
-	return readGob(r.Body, resp)
-}
-
-// encodeGob stages the encoding in a pooled buffer and copies out a
-// right-sized body: the caller retains the bytes across retries, so they
-// cannot alias the recycled buffer.
-func encodeGob(v any) ([]byte, error) {
-	buf := getGobBuf()
-	defer putGobBuf(buf)
-	if err := gob.NewEncoder(buf).Encode(v); err != nil {
-		return nil, err
+	body := io.Reader(r.Body)
+	if limit > 0 {
+		body = io.LimitReader(body, limit+1)
 	}
-	body := make([]byte, buf.Len())
-	copy(body, buf.Bytes())
-	return body, nil
+	if _, err := buf.ReadFrom(body); err != nil {
+		return fmt.Errorf("httpapi: %s: read response: %w", url, err)
+	}
+	if limit > 0 && int64(buf.Len()) > limit {
+		return fmt.Errorf("httpapi: %s: response exceeds %d bytes", url, limit)
+	}
+	return nil
 }
 
 // doPost performs one HTTP exchange; the body is a byte slice so retries
@@ -257,7 +312,7 @@ func doPost(ctx context.Context, client *http.Client, url, trace, parent string,
 	if err != nil {
 		return nil, err
 	}
-	hreq.Header.Set("Content-Type", "application/x-gob")
+	hreq.Header.Set("Content-Type", frameContentType)
 	if trace != "" {
 		hreq.Header.Set(TraceHeader, trace)
 	}
@@ -270,43 +325,6 @@ func doPost(ctx context.Context, client *http.Client, url, trace, parent string,
 		}
 	}
 	return client.Do(hreq)
-}
-
-// postBytes sends one raw (non-gob) request body and returns the raw
-// response body. It is the migration stream's transport: bucket exports,
-// imports, and drops are all idempotent (exports copy, imports skip keys
-// the cache already holds, drops of an absent bucket are no-ops), so a
-// connection-level error is retried once like an idempotent query.
-func postBytes(ctx context.Context, client *http.Client, url string, body []byte, reg *obs.Registry) ([]byte, error) {
-	do := func() (*http.Response, error) {
-		hreq, err := http.NewRequestWithContext(ctx, http.MethodPost, url, bytes.NewReader(body))
-		if err != nil {
-			return nil, err
-		}
-		hreq.Header.Set("Content-Type", "application/octet-stream")
-		return client.Do(hreq)
-	}
-	r, err := do()
-	if err != nil && ctx.Err() == nil {
-		if reg != nil {
-			reg.Counter(obs.MHTTPRetries).Inc()
-		}
-		select {
-		case <-time.After(retryBackoff):
-		case <-ctx.Done():
-			return nil, err
-		}
-		r, err = do()
-	}
-	if err != nil {
-		return nil, err
-	}
-	defer r.Body.Close()
-	raw, rerr := io.ReadAll(r.Body)
-	if r.StatusCode != http.StatusOK {
-		return nil, fmt.Errorf("httpapi: %s: %s: %s", url, r.Status, bytes.TrimSpace(raw))
-	}
-	return raw, rerr
 }
 
 // MetricsHandler serves a registry snapshot: JSON by default, Prometheus
@@ -449,8 +467,7 @@ func HomeHandlerWithHub(home *homeserver.Server, hub *ReplicaHub) http.Handler {
 	mux.Handle("GET "+PathTrace+"{id}", TraceHandler(home.Tracer().Store()))
 	mux.HandleFunc("POST "+PathExecQuery, func(w http.ResponseWriter, r *http.Request) {
 		var sq wire.SealedQuery
-		if err := readGob(r.Body, &sq); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !readFrame(w, r, &sq) {
 			return
 		}
 		res, empty, scanned, err := home.ExecQuery(sq)
@@ -458,12 +475,11 @@ func HomeHandlerWithHub(home *homeserver.Server, hub *ReplicaHub) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeGob(home.Obs(), w, ExecQueryResponse{Result: res, Empty: empty, Scanned: scanned})
+		writeFrame(home.Obs(), w, wire.ExecQueryResponse{Result: res, Empty: empty, Scanned: scanned})
 	})
 	mux.HandleFunc("POST "+PathExecUpdate, func(w http.ResponseWriter, r *http.Request) {
 		var su wire.SealedUpdate
-		if err := readGob(r.Body, &su); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !readFrame(w, r, &su) {
 			return
 		}
 		n, seq, err := home.ExecUpdate(su)
@@ -471,7 +487,7 @@ func HomeHandlerWithHub(home *homeserver.Server, hub *ReplicaHub) http.Handler {
 			http.Error(w, err.Error(), http.StatusBadRequest)
 			return
 		}
-		writeGob(home.Obs(), w, ExecUpdateResponse{Affected: n, Seq: seq})
+		writeFrame(home.Obs(), w, wire.ExecUpdateResponse{Affected: n, Seq: seq})
 	})
 	if hub != nil {
 		mux.HandleFunc("POST "+PathReplicaRegister, func(w http.ResponseWriter, r *http.Request) {
@@ -522,13 +538,13 @@ type httpTransport struct {
 }
 
 func (t httpTransport) ExecQuery(ctx context.Context, sq wire.SealedQuery, done func(pipeline.ExecQueryResult, error)) {
-	var exec ExecQueryResponse
+	var exec wire.ExecQueryResponse
 	err := post(ctx, t.client, t.homeURL+PathExecQuery, sq.TraceID, sq.ParentSpan, nil, sq, &exec, true, t.reg)
 	done(pipeline.ExecQueryResult{Result: exec.Result, Empty: exec.Empty, Scanned: exec.Scanned}, err)
 }
 
 func (t httpTransport) ExecUpdate(ctx context.Context, su wire.SealedUpdate, done func(pipeline.ExecUpdateResult, error)) {
-	var exec ExecUpdateResponse
+	var exec wire.ExecUpdateResponse
 	err := post(ctx, t.client, t.homeURL+PathExecUpdate, su.TraceID, su.ParentSpan, nil, su, &exec, false, t.reg)
 	done(pipeline.ExecUpdateResult{Affected: exec.Affected, Seq: exec.Seq}, err)
 }
@@ -667,8 +683,7 @@ func spanParent(sealed string, r *http.Request) string {
 
 func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var sq wire.SealedQuery
-	if err := readGob(r.Body, &sq); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !readFrame(w, r, &sq) {
 		return
 	}
 	sq.TraceID = trace(sq.TraceID, r)
@@ -678,7 +693,7 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeGob(s.Reg, w, QueryResponse{Result: reply.Result, Hit: reply.Hit})
+	writeFrame(s.Reg, w, wire.QueryResponse{Result: reply.Result, Hit: reply.Hit})
 }
 
 // handleInvalidate monitors an update that was already confirmed at the
@@ -688,8 +703,7 @@ func (s *NodeServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 // current batch when a monitoring interval is configured.
 func (s *NodeServer) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	var su wire.SealedUpdate
-	if err := readGob(r.Body, &su); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !readFrame(w, r, &su) {
 		return
 	}
 	su.TraceID = trace(su.TraceID, r)
@@ -703,7 +717,7 @@ func (s *NodeServer) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	s.Pipe.MonitorUpdate(su, seq, func(invalidated int) { ch <- invalidated })
 	select {
 	case n := <-ch:
-		writeGob(s.Reg, w, InvalidateResponse{Invalidated: n})
+		writeFrame(s.Reg, w, wire.InvalidateResponse{Invalidated: n})
 	case <-r.Context().Done():
 		http.Error(w, r.Context().Err().Error(), http.StatusGatewayTimeout)
 	}
@@ -711,8 +725,8 @@ func (s *NodeServer) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 
 // handleBucketExport streams the named template buckets' sealed entries
 // out for a warm handoff. The request body is a wire template-ID list,
-// the response the wire migration encoding — no gob, no keys, nothing
-// the node did not already hold sealed.
+// the response the wire migration encoding — no keys, nothing the node
+// did not already hold sealed.
 func (s *NodeServer) handleBucketExport(w http.ResponseWriter, r *http.Request) {
 	body, err := io.ReadAll(r.Body)
 	if err != nil {
@@ -725,7 +739,7 @@ func (s *NodeServer) handleBucketExport(w http.ResponseWriter, r *http.Request) 
 		return
 	}
 	entries := s.Node.Cache.ExportBuckets(ids)
-	w.Header().Set("Content-Type", "application/octet-stream")
+	w.Header().Set("Content-Type", frameContentType)
 	if _, err := w.Write(wire.AppendBucketEntries(nil, entries)); err != nil {
 		slog.Warn("httpapi: bucket export write failed", "entries", len(entries), "err", err)
 		s.Reg.Counter(obs.MHTTPWriteErrors).Inc()
@@ -777,8 +791,7 @@ func (s *NodeServer) handleDecisions(w http.ResponseWriter, _ *http.Request) {
 
 func (s *NodeServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var su wire.SealedUpdate
-	if err := readGob(r.Body, &su); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !readFrame(w, r, &su) {
 		return
 	}
 	su.TraceID = trace(su.TraceID, r)
@@ -788,7 +801,7 @@ func (s *NodeServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeGob(s.Reg, w, UpdateResponse{Affected: reply.Affected, Invalidated: reply.Invalidated, Seq: reply.Seq})
+	writeFrame(s.Reg, w, wire.UpdateResponse{Affected: reply.Affected, Invalidated: reply.Invalidated, Seq: reply.Seq})
 }
 
 // Client is the trusted application side talking to a remote DSSP node:
@@ -830,7 +843,7 @@ func (c *Client) Query(ctx context.Context, t *template.Template, params ...inte
 		Trace: sq.TraceID, Stage: obs.StageSeal, Template: t.ID,
 		Start: start, Duration: c.Tracer.Now() - start,
 	})
-	var resp QueryResponse
+	var resp wire.QueryResponse
 	if err := post(ctx, c.HTTP, c.NodeURL+PathQuery, sq.TraceID, sq.ParentSpan, nil, sq, &resp, true, c.Tracer.Registry()); err != nil {
 		return nil, err
 	}
@@ -860,7 +873,7 @@ func (c *Client) Update(ctx context.Context, t *template.Template, params ...int
 		Trace: su.TraceID, Stage: obs.StageSeal, Template: t.ID,
 		Start: start, Duration: c.Tracer.Now() - start,
 	})
-	var resp UpdateResponse
+	var resp wire.UpdateResponse
 	if err := post(ctx, c.HTTP, c.NodeURL+PathUpdate, su.TraceID, su.ParentSpan, nil, su, &resp, false, c.Tracer.Registry()); err != nil {
 		return 0, 0, err
 	}

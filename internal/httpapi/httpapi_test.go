@@ -25,7 +25,7 @@ import (
 // stack spins up home server and node as real HTTP servers (httptest) and
 // returns a sealed-protocol client plus the master database for ground
 // truth.
-func stack(t *testing.T, exps map[string]template.Exposure) (*Client, *storage.Database, func()) {
+func stack(t testing.TB, exps map[string]template.Exposure) (*Client, *storage.Database, func()) {
 	t.Helper()
 	app := apps.Toystore()
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), exps)
@@ -40,7 +40,7 @@ func stack(t *testing.T, exps map[string]template.Exposure) (*Client, *storage.D
 	return client, db, func() { nodeSrv.Close(); homeSrv.Close() }
 }
 
-func seedToys(t *testing.T, db *storage.Database) {
+func seedToys(t testing.TB, db *storage.Database) {
 	t.Helper()
 	rows := []struct {
 		id   int64
@@ -178,7 +178,7 @@ func TestNetworkErrors(t *testing.T) {
 func TestNodeRejectsGarbage(t *testing.T) {
 	client, _, done := stack(t, nil)
 	defer done()
-	resp, err := http.Post(client.NodeURL+PathQuery, "application/x-gob", nil)
+	resp, err := http.Post(client.NodeURL+PathQuery, frameContentType, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -196,7 +196,7 @@ func TestMetricsEndpointReplacesStats(t *testing.T) {
 	if _, err := client.Query(context.Background(), app.Query("Q2"), 5); err != nil {
 		t.Fatal(err)
 	}
-	// The gob stats endpoint is gone.
+	// The old stats endpoint is gone.
 	resp, err := http.Get(client.NodeURL + "/v1/stats")
 	if err != nil {
 		t.Fatal(err)

@@ -24,21 +24,6 @@ type ReplicaRegisterRequest struct {
 	URL string `json:"url"`
 }
 
-// ReplicaApplyRequest is one confirmed-update batch pushed from the
-// primary's hub to a replica, gob-encoded like the sealed traffic it
-// carries.
-type ReplicaApplyRequest struct {
-	Batch []homeserver.Confirmed
-}
-
-// ReplicaApplyResponse acknowledges an apply push with the replica's
-// applied watermark — which may be behind the batch's tail if earlier
-// sequences are still missing (the replica buffers the gap; the hub
-// resends from the acknowledged point).
-type ReplicaApplyResponse struct {
-	Applied uint64
-}
-
 // ReplicaStatusResponse is a replica's applied watermark and query load,
 // served as JSON from PathReplicaStatus for smoke tests and operators.
 type ReplicaStatusResponse struct {
@@ -58,8 +43,7 @@ func ReplicaHandler(rep *home.Replica) http.Handler {
 	mux.Handle("GET "+PathTrace+"{id}", TraceHandler(rep.Tracer().Store()))
 	mux.HandleFunc("POST "+PathExecQuery, func(w http.ResponseWriter, r *http.Request) {
 		var sq wire.SealedQuery
-		if err := readGob(r.Body, &sq); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		if !readFrame(w, r, &sq) {
 			return
 		}
 		minSeq, _ := strconv.ParseUint(r.Header.Get(MinSeqHeader), 10, 64)
@@ -85,12 +69,11 @@ func ReplicaHandler(rep *home.Replica) http.Handler {
 		// above, so the header never claims more freshness than the
 		// result has.
 		w.Header().Set(AppliedHeader, strconv.FormatUint(rep.Applied(), 10))
-		writeGob(rep.Obs(), w, ExecQueryResponse{Result: res, Empty: empty, Scanned: scanned})
+		writeFrame(rep.Obs(), w, wire.ExecQueryResponse{Result: res, Empty: empty, Scanned: scanned})
 	})
 	mux.HandleFunc("POST "+PathReplicaApply, func(w http.ResponseWriter, r *http.Request) {
-		var req ReplicaApplyRequest
-		if err := readGob(r.Body, &req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		var req wire.ReplicaApplyRequest
+		if !readFrame(w, r, &req) {
 			return
 		}
 		if err := rep.ApplyBatch(req.Batch); err != nil {
@@ -100,7 +83,7 @@ func ReplicaHandler(rep *home.Replica) http.Handler {
 			http.Error(w, err.Error(), http.StatusInternalServerError)
 			return
 		}
-		writeGob(rep.Obs(), w, ReplicaApplyResponse{Applied: rep.Applied()})
+		writeFrame(rep.Obs(), w, wire.ReplicaApplyResponse{Applied: rep.Applied()})
 	})
 	mux.HandleFunc("GET "+PathReplicaStatus, func(w http.ResponseWriter, _ *http.Request) {
 		w.Header().Set("Content-Type", "application/json")
@@ -168,6 +151,11 @@ type ReplicaHub struct {
 	stop chan struct{}
 	wg   sync.WaitGroup
 }
+
+// maxApplyBatch caps the confirmed updates one apply push carries, so a
+// replica registering late behind a long retained log catches up in
+// bounded frames instead of one push past MaxFrameBytes.
+const maxApplyBatch = 1024
 
 // replicaStream is one replica's pusher state; acked counts the log
 // prefix the replica has acknowledged applying.
@@ -241,6 +229,9 @@ func (h *ReplicaHub) run(st *replicaStream) {
 			return
 		}
 		batch := h.log[st.acked:]
+		if len(batch) > maxApplyBatch {
+			batch = batch[:maxApplyBatch]
+		}
 		h.mu.Unlock()
 
 		applied, err := h.push(st.url, batch)
@@ -267,10 +258,10 @@ func (h *ReplicaHub) run(st *replicaStream) {
 // push sends one batch to a replica's apply endpoint and returns the
 // acknowledged watermark.
 func (h *ReplicaHub) push(url string, batch []homeserver.Confirmed) (uint64, error) {
-	var resp ReplicaApplyResponse
+	var resp wire.ReplicaApplyResponse
 	ctx, cancel := context.WithTimeout(context.Background(), DefaultTimeout)
 	defer cancel()
-	err := post(ctx, h.client, url+PathReplicaApply, "", "", nil, ReplicaApplyRequest{Batch: batch}, &resp, false, nil)
+	err := post(ctx, h.client, url+PathReplicaApply, "", "", nil, wire.ReplicaApplyRequest{Batch: batch}, &resp, false, nil)
 	if err != nil {
 		return 0, err
 	}
@@ -348,13 +339,8 @@ type replicaProxy struct {
 }
 
 func (p replicaProxy) QueryAt(ctx context.Context, sq wire.SealedQuery, minSeq uint64, done func(pipeline.ExecQueryResult, error)) {
-	body, err := encodeGob(sq)
-	if err != nil {
-		done(pipeline.ExecQueryResult{}, err)
-		return
-	}
 	hdrs := http.Header{MinSeqHeader: []string{strconv.FormatUint(minSeq, 10)}}
-	r, err := doPost(ctx, p.client, p.url+PathExecQuery, sq.TraceID, sq.ParentSpan, hdrs, body)
+	r, err := doPost(ctx, p.client, p.url+PathExecQuery, sq.TraceID, sq.ParentSpan, hdrs, encodeFrame(sq))
 	if err != nil {
 		done(pipeline.ExecQueryResult{}, err)
 		return
@@ -369,13 +355,8 @@ func (p replicaProxy) QueryAt(ctx context.Context, sq wire.SealedQuery, minSeq u
 		done(pipeline.ExecQueryResult{}, &pipeline.LagError{Applied: applied, Want: minSeq, Part: part})
 		return
 	}
-	if r.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(r.Body, 4096))
-		done(pipeline.ExecQueryResult{}, fmt.Errorf("httpapi: %s%s: %s: %s", p.url, PathExecQuery, r.Status, msg))
-		return
-	}
-	var exec ExecQueryResponse
-	if err := readGob(r.Body, &exec); err != nil {
+	var exec wire.ExecQueryResponse
+	if err := decodeResponse(p.url+PathExecQuery, r, &exec); err != nil {
 		done(pipeline.ExecQueryResult{}, err)
 		return
 	}

@@ -25,16 +25,15 @@ type ackingApplySink struct {
 func (s *ackingApplySink) handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("POST "+PathReplicaApply, func(w http.ResponseWriter, r *http.Request) {
-		var req ReplicaApplyRequest
-		if err := readGob(r.Body, &req); err != nil {
-			http.Error(w, err.Error(), http.StatusBadRequest)
+		var req wire.ReplicaApplyRequest
+		if !readFrame(w, r, &req) {
 			return
 		}
 		s.applies.Add(1)
 		if n := len(req.Batch); n > 0 {
 			s.acked.Store(req.Batch[n-1].Seq)
 		}
-		writeGob(nil, w, ReplicaApplyResponse{Applied: s.acked.Load()})
+		writeFrame(nil, w, wire.ReplicaApplyResponse{Applied: s.acked.Load()})
 	})
 	return mux
 }
@@ -146,5 +145,31 @@ func TestHubCloseRacesConfirmDispatch(t *testing.T) {
 	time.Sleep(50 * time.Millisecond)
 	if got := sink.applies.Load(); got != final {
 		t.Fatalf("pushes advanced from %d to %d after Close returned", final, got)
+	}
+}
+
+// TestHubLateReplicaCatchesUpInBoundedPushes: a replica registering
+// behind a retained log longer than maxApplyBatch receives it in several
+// capped pushes, each well inside MaxFrameBytes, and ends fully acked.
+func TestHubLateReplicaCatchesUpInBoundedPushes(t *testing.T) {
+	sink := &ackingApplySink{}
+	srv := httptest.NewServer(sink.handler())
+	defer srv.Close()
+
+	hub := NewReplicaHub(nil, nil)
+	defer hub.Close()
+	const n = 2*maxApplyBatch + 5
+	hub.Confirm(confirmedBatch(1, n))
+	hub.Register(srv.URL)
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := hub.Drain(ctx); err != nil {
+		t.Fatalf("drain: %v", err)
+	}
+	if got := sink.acked.Load(); got != n {
+		t.Fatalf("replica acked %d, want %d", got, n)
+	}
+	if got := sink.applies.Load(); got != 3 {
+		t.Fatalf("catch-up took %d pushes, want 3 of at most %d updates", got, maxApplyBatch)
 	}
 }

@@ -36,7 +36,7 @@ func NewNodeProxy(url string, client *http.Client, reg *obs.Registry) NodeProxy 
 
 // Query proxies a sealed query to the node.
 func (p NodeProxy) Query(ctx context.Context, sq wire.SealedQuery) (wire.SealedResult, bool, error) {
-	var resp QueryResponse
+	var resp wire.QueryResponse
 	err := post(ctx, p.Client, p.URL+PathQuery, sq.TraceID, sq.ParentSpan, nil, sq, &resp, true, p.Reg)
 	return resp.Result, resp.Hit, err
 }
@@ -44,7 +44,7 @@ func (p NodeProxy) Query(ctx context.Context, sq wire.SealedQuery) (wire.SealedR
 // Update proxies a sealed update through the node's full update pathway
 // and relays the home server's confirmed sequence back to the router.
 func (p NodeProxy) Update(ctx context.Context, su wire.SealedUpdate) (int, int, uint64, error) {
-	var resp UpdateResponse
+	var resp wire.UpdateResponse
 	err := post(ctx, p.Client, p.URL+PathUpdate, su.TraceID, su.ParentSpan, nil, su, &resp, false, p.Reg)
 	return resp.Affected, resp.Invalidated, resp.Seq, err
 }
@@ -54,7 +54,7 @@ func (p NodeProxy) Update(ctx context.Context, su wire.SealedUpdate) (int, int, 
 // raises its replica-freshness floor. Failures surface in the router's
 // proxy-error counter and are returned to the fan-out's retry path.
 func (p NodeProxy) Invalidate(ctx context.Context, su wire.SealedUpdate, seq uint64) (int, error) {
-	var resp InvalidateResponse
+	var resp wire.InvalidateResponse
 	hdrs := http.Header{ConfirmSeqHeader: []string{strconv.FormatUint(seq, 10)}}
 	err := post(ctx, p.Client, p.URL+PathInvalidate, su.TraceID, su.ParentSpan, hdrs, su, &resp, true, p.Reg)
 	return resp.Invalidated, err
@@ -62,7 +62,7 @@ func (p NodeProxy) Invalidate(ctx context.Context, su wire.SealedUpdate, seq uin
 
 // ExportBuckets pulls the named template buckets' sealed entries from the
 // node for a warm handoff. Request and response are the raw wire
-// migration encoding, not gob.
+// migration encoding.
 func (p NodeProxy) ExportBuckets(ctx context.Context, templateIDs []string) ([]wire.BucketEntry, error) {
 	raw, err := postBytes(ctx, p.Client, p.URL+PathBucketExport, wire.AppendTemplateIDs(nil, templateIDs), p.Reg)
 	if err != nil {
@@ -199,8 +199,7 @@ func (s *RouterServer) Handler() http.Handler {
 
 func (s *RouterServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 	var sq wire.SealedQuery
-	if err := readGob(r.Body, &sq); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !readFrame(w, r, &sq) {
 		return
 	}
 	sq.TraceID = trace(sq.TraceID, r)
@@ -210,13 +209,12 @@ func (s *RouterServer) handleQuery(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeGob(s.Reg, w, QueryResponse{Result: reply.Result, Hit: reply.Hit})
+	writeFrame(s.Reg, w, wire.QueryResponse{Result: reply.Result, Hit: reply.Hit})
 }
 
 func (s *RouterServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 	var su wire.SealedUpdate
-	if err := readGob(r.Body, &su); err != nil {
-		http.Error(w, err.Error(), http.StatusBadRequest)
+	if !readFrame(w, r, &su) {
 		return
 	}
 	su.TraceID = trace(su.TraceID, r)
@@ -226,7 +224,7 @@ func (s *RouterServer) handleUpdate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusBadGateway)
 		return
 	}
-	writeGob(s.Reg, w, UpdateResponse{Affected: reply.Affected, Invalidated: reply.Invalidated, Seq: reply.Seq})
+	writeFrame(s.Reg, w, wire.UpdateResponse{Affected: reply.Affected, Invalidated: reply.Invalidated, Seq: reply.Seq})
 }
 
 // RingJoinRequest admits a node process into the ring by its base URL.

@@ -68,7 +68,7 @@ const (
 
 	// HTTP deployment error counters, registered lazily on first error:
 	// response writes that failed mid-body (the client saw a truncated
-	// gob) and idempotent-query retries after connection errors.
+	// frame) and idempotent-query retries after connection errors.
 	MHTTPWriteErrors = "dssp_http_write_errors_total"
 	MHTTPRetries     = "dssp_http_retries_total"
 

@@ -32,12 +32,16 @@ import (
 //	        | 0x03 uvarint(len) bytes   (STRING)
 //	params  = value*                    (self-delimiting)
 //	stmt    = uvarint(len) sql params
-//	payload = uvarint(len) templateID uvarint(nparams) value*
+//	plist   = uvarint(nparams) value*
+//	payload = uvarint(len) templateID plist
 //	result  = uvarint(ncols) { uvarint(len) name }*
 //	          uvarint(nrows) { uvarint(width) value* }*
 //	          uvarint(rowsScanned)
 
-var errMalformed = errors.New("wire: malformed encoding")
+// ErrMalformed reports input outside the canonical grammar: every decoder
+// in this package wraps or returns it for truncated, over-long, trailing,
+// or non-minimal encodings.
+var ErrMalformed = errors.New("wire: malformed encoding")
 
 // encBuf is pooled encode/decode scratch. Callers must not retain eb.b
 // (or anything decoded in place from it) past putBuf.
@@ -83,7 +87,7 @@ func appendValue(dst []byte, v sqlparse.Value) []byte {
 func uvarint(b []byte) (uint64, []byte, error) {
 	n, w := binary.Uvarint(b)
 	if w <= 0 || (w > 1 && n>>(7*(w-1)) == 0) {
-		return 0, nil, errMalformed
+		return 0, nil, ErrMalformed
 	}
 	return n, b[w:], nil
 }
@@ -92,7 +96,7 @@ func uvarint(b []byte) (uint64, []byte, error) {
 // returned value's string data is copied out of b.
 func decodeValue(b []byte) (sqlparse.Value, []byte, error) {
 	if len(b) == 0 {
-		return sqlparse.Value{}, nil, errMalformed
+		return sqlparse.Value{}, nil, ErrMalformed
 	}
 	kind, b := sqlparse.ValueKind(b[0]), b[1:]
 	switch kind {
@@ -100,22 +104,22 @@ func decodeValue(b []byte) (sqlparse.Value, []byte, error) {
 		return sqlparse.Null(), b, nil
 	case sqlparse.KindInt:
 		if len(b) < 8 {
-			return sqlparse.Value{}, nil, errMalformed
+			return sqlparse.Value{}, nil, ErrMalformed
 		}
 		return sqlparse.IntVal(int64(binary.BigEndian.Uint64(b))), b[8:], nil
 	case sqlparse.KindFloat:
 		if len(b) < 8 {
-			return sqlparse.Value{}, nil, errMalformed
+			return sqlparse.Value{}, nil, ErrMalformed
 		}
 		return sqlparse.FloatVal(math.Float64frombits(binary.BigEndian.Uint64(b))), b[8:], nil
 	case sqlparse.KindString:
 		n, rest, err := uvarint(b)
 		if err != nil || n > uint64(len(rest)) {
-			return sqlparse.Value{}, nil, errMalformed
+			return sqlparse.Value{}, nil, ErrMalformed
 		}
 		return sqlparse.StringVal(string(rest[:n])), rest[n:], nil
 	default:
-		return sqlparse.Value{}, nil, errMalformed
+		return sqlparse.Value{}, nil, ErrMalformed
 	}
 }
 
@@ -140,19 +144,55 @@ func appendStmt(dst []byte, sql string, params []sqlparse.Value) []byte {
 // appendPayload appends the opaque statement payload: template identity
 // plus parameters.
 func appendPayload(dst []byte, templateID string, params []sqlparse.Value) []byte {
-	dst = binary.AppendUvarint(dst, uint64(len(templateID)))
-	dst = append(dst, templateID...)
-	dst = binary.AppendUvarint(dst, uint64(len(params)))
-	return appendParams(dst, params)
+	return appendParamList(appendStr(dst, templateID), params)
+}
+
+// appendStr appends one uvarint-length-prefixed string.
+func appendStr[S string | []byte](dst []byte, s S) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(s)))
+	return append(dst, s...)
+}
+
+// beginLen reserves a one-byte length prefix for a body about to be
+// appended at the returned offset; endLen fills it in.
+func beginLen(dst []byte) ([]byte, int) { return append(dst, 0), len(dst) + 1 }
+
+// endLen writes the minimal uvarint length of the body appended since
+// beginLen, shifting the body right when the length needs more than the
+// one reserved byte. Encoding in place this way spares a staging buffer
+// and a copy for the common short body.
+func endLen(dst []byte, start int) []byte {
+	n := len(dst) - start
+	var tmp [binary.MaxVarintLen64]byte
+	w := binary.PutUvarint(tmp[:], uint64(n))
+	if w > 1 {
+		dst = append(dst, tmp[:w-1]...)
+		copy(dst[start+w-1:], dst[start:start+n])
+	}
+	copy(dst[start-1:], tmp[:w])
+	return dst
 }
 
 // decodeString consumes one uvarint-length-prefixed string.
 func decodeString(b []byte) (string, []byte, error) {
 	n, rest, err := uvarint(b)
 	if err != nil || n > uint64(len(rest)) {
-		return "", nil, errMalformed
+		return "", nil, ErrMalformed
 	}
 	return string(rest[:n]), rest[n:], nil
+}
+
+// decodeBytes consumes one uvarint-length-prefixed byte string into a
+// fresh slice — nil when empty, never aliasing b.
+func decodeBytes(b []byte) ([]byte, []byte, error) {
+	n, rest, err := uvarint(b)
+	if err != nil || n > uint64(len(rest)) {
+		return nil, nil, ErrMalformed
+	}
+	if n == 0 {
+		return nil, rest, nil
+	}
+	return append([]byte(nil), rest[:n]...), rest[n:], nil
 }
 
 // decodeCount consumes one uvarint and bounds it by the remaining input:
@@ -162,9 +202,31 @@ func decodeString(b []byte) (string, []byte, error) {
 func decodeCount(b []byte) (int, []byte, error) {
 	n, rest, err := uvarint(b)
 	if err != nil || n > uint64(len(rest)) {
-		return 0, nil, errMalformed
+		return 0, nil, ErrMalformed
 	}
 	return int(n), rest, nil
+}
+
+// appendParamList appends a counted parameter list: uvarint(n) value*.
+func appendParamList(dst []byte, params []sqlparse.Value) []byte {
+	dst = binary.AppendUvarint(dst, uint64(len(params)))
+	return appendParams(dst, params)
+}
+
+// decodeParamList consumes a counted parameter list. An empty list
+// decodes as nil, so nil and empty encode alike and decode alike.
+func decodeParamList(b []byte) ([]sqlparse.Value, []byte, error) {
+	n, b, err := decodeCount(b)
+	if err != nil || n == 0 {
+		return nil, b, err
+	}
+	params := make([]sqlparse.Value, n)
+	for i := range params {
+		if params[i], b, err = decodeValue(b); err != nil {
+			return nil, nil, ErrMalformed
+		}
+	}
+	return params, b, nil
 }
 
 // decodePayload decodes an opaque statement payload. Everything returned
@@ -172,22 +234,13 @@ func decodeCount(b []byte) (int, []byte, error) {
 func decodePayload(b []byte) (templateID string, params []sqlparse.Value, err error) {
 	templateID, b, err = decodeString(b)
 	if err != nil {
-		return "", nil, errMalformed
+		return "", nil, ErrMalformed
 	}
-	n, b, err := decodeCount(b)
-	if err != nil {
-		return "", nil, errMalformed
-	}
-	if n > 0 {
-		params = make([]sqlparse.Value, n)
-		for i := range params {
-			if params[i], b, err = decodeValue(b); err != nil {
-				return "", nil, errMalformed
-			}
-		}
+	if params, b, err = decodeParamList(b); err != nil {
+		return "", nil, ErrMalformed
 	}
 	if len(b) != 0 {
-		return "", nil, errMalformed // trailing bytes: not a canonical encoding
+		return "", nil, ErrMalformed // trailing bytes: not a canonical encoding
 	}
 	return templateID, params, nil
 }
@@ -214,31 +267,31 @@ func decodeResult(b []byte) (*engine.Result, error) {
 	r := &engine.Result{}
 	ncols, b, err := decodeCount(b)
 	if err != nil {
-		return nil, errMalformed
+		return nil, ErrMalformed
 	}
 	if ncols > 0 {
 		r.Columns = make([]string, ncols)
 		for i := range r.Columns {
 			if r.Columns[i], b, err = decodeString(b); err != nil {
-				return nil, errMalformed
+				return nil, ErrMalformed
 			}
 		}
 	}
 	nrows, b, err := decodeCount(b)
 	if err != nil {
-		return nil, errMalformed
+		return nil, ErrMalformed
 	}
 	if nrows > 0 {
 		r.Rows = make([][]sqlparse.Value, nrows)
 		for i := range r.Rows {
 			var width int
 			if width, b, err = decodeCount(b); err != nil {
-				return nil, errMalformed
+				return nil, ErrMalformed
 			}
 			row := make([]sqlparse.Value, width)
 			for j := range row {
 				if row[j], b, err = decodeValue(b); err != nil {
-					return nil, errMalformed
+					return nil, ErrMalformed
 				}
 			}
 			r.Rows[i] = row
@@ -246,7 +299,7 @@ func decodeResult(b []byte) (*engine.Result, error) {
 	}
 	scanned, rest, err := uvarint(b)
 	if err != nil || len(rest) != 0 || scanned > math.MaxInt32 {
-		return nil, errMalformed
+		return nil, ErrMalformed
 	}
 	r.RowsScanned = int(scanned)
 	return r, nil

@@ -34,6 +34,10 @@
 // All encode scratch comes from a package-level buffer pool; sealed
 // outputs (Opaque, Cipher, Key) are freshly allocated or immutable
 // strings, owned by the caller, and never alias pooled memory.
+//
+// The same encoding carries the messages between processes: every HTTP
+// envelope (frame.go) and the bucket-migration stream (bucket.go) are
+// built from one sealed-query and one sealed-result encoding.
 package wire
 
 import (

@@ -21,6 +21,8 @@ out+=$'\n'
 out+=$(go test -run '^$' -bench 'BenchmarkOnUpdateBatch' -benchmem -benchtime 200x ./internal/cache)
 out+=$'\n'
 out+=$(go test -run '^$' -bench 'BenchmarkRingOwner$' -benchmem -benchtime 200x ./internal/shard)
+out+=$'\n'
+out+=$(go test -run '^$' -bench 'BenchmarkHTTPHit$' -benchmem -benchtime 200x ./internal/httpapi)
 printf '%s\n' "$out"
 
 fail=0
