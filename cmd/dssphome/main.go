@@ -115,7 +115,7 @@ func main() {
 		home.OnConfirm(hub.Confirm)
 	}
 
-	srv := &http.Server{Addr: *addr, Handler: httpapi.HomeHandlerWithHub(home, hub)}
+	srv := httpapi.NewServer(*addr, httpapi.HomeHandlerWithHub(home, hub))
 	go func() {
 		logger.Info("home server listening",
 			"app", app.Name, "addr", *addr, "replicas", *replicas,
@@ -166,7 +166,7 @@ func runReplica(logger *slog.Logger, app *template.App, db *storage.Database, co
 		logger.Warn("fault injection active", "inject_replica_lag", injectLag)
 	}
 
-	srv := &http.Server{Addr: addr, Handler: httpapi.ReplicaHandler(rep)}
+	srv := httpapi.NewServer(addr, httpapi.ReplicaHandler(rep))
 	go func() {
 		logger.Info("home replica listening",
 			"app", app.Name, "addr", addr, "primary", primaryURL,
@@ -223,7 +223,7 @@ func servePprof(logger *slog.Logger, addr string) {
 	}
 	go func() {
 		logger.Info("pprof listening", "addr", addr)
-		if err := http.ListenAndServe(addr, nil); err != nil {
+		if err := httpapi.NewServer(addr, nil).ListenAndServe(); err != nil {
 			logger.Error("pprof serve failed", "err", err)
 		}
 	}()

@@ -19,7 +19,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"strings"
 
@@ -90,7 +89,7 @@ func main() {
 		"home_replicas", nReplicas,
 		"capacity", *capacity, "monitor_interval", *monitor,
 		"metrics", httpapi.PathMetrics, "traces", httpapi.PathTraces)
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+	if err := httpapi.NewServer(*addr, srv.Handler()).ListenAndServe(); err != nil {
 		logger.Error("serve failed", "err", err)
 		os.Exit(1)
 	}
@@ -104,7 +103,7 @@ func servePprof(logger *slog.Logger, addr string) {
 	}
 	go func() {
 		logger.Info("pprof listening", "addr", addr)
-		if err := http.ListenAndServe(addr, nil); err != nil {
+		if err := httpapi.NewServer(addr, nil).ListenAndServe(); err != nil {
 			logger.Error("pprof serve failed", "err", err)
 		}
 	}()

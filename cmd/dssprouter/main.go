@@ -47,7 +47,6 @@ import (
 	"flag"
 	"fmt"
 	"log/slog"
-	"net/http"
 	"os"
 	"strings"
 
@@ -97,7 +96,7 @@ func main() {
 	logger.Info("DSSP router listening",
 		"app", app.Name, "addr", *addr, "fleet", len(urls), "nodes", strings.Join(urls, ","),
 		"metrics", httpapi.PathMetrics, "traces", httpapi.PathTraces)
-	if err := http.ListenAndServe(*addr, srv.Handler()); err != nil {
+	if err := httpapi.NewServer(*addr, srv.Handler()).ListenAndServe(); err != nil {
 		logger.Error("serve failed", "err", err)
 		os.Exit(1)
 	}
@@ -111,7 +110,7 @@ func servePprof(logger *slog.Logger, addr string) {
 	}
 	go func() {
 		logger.Info("pprof listening", "addr", addr)
-		if err := http.ListenAndServe(addr, nil); err != nil {
+		if err := httpapi.NewServer(addr, nil).ListenAndServe(); err != nil {
 			logger.Error("pprof serve failed", "err", err)
 		}
 	}()

@@ -3,25 +3,25 @@ package cache
 import (
 	"sort"
 	"strings"
-	"time"
 
 	"dssp/internal/invalidate"
 	"dssp/internal/obs"
 	"dssp/internal/wire"
 )
 
-// Batched invalidation. The paper's DSSP learns of completed updates by
+// Invalidation. The paper's DSSP learns of completed updates by
 // monitoring the update stream (§2.2) — an interval-batched process — so
-// updates arrive at the cache in groups. OnUpdateBatch applies a group in
-// one pass: it merges the routing index's affected-template sets across
-// the batch and locks and probes each bucket once per batch instead of
-// once per update, applying the batch's updates to the bucket in order
-// while it holds the lock. The decisions are identical, per update and in
-// update order, to calling OnUpdate sequentially: a decision depends only
-// on the update instance and the bucket-local state, bucket-local state
-// after k in-order applications is the same either way, and cross-bucket
-// state is never consulted. Only Stats.BucketWalks — the physical
-// lock-and-probe work — shrinks.
+// updates arrive at the cache in groups, and a single update is just a
+// group of one. OnUpdates applies a group in one pass: it merges the
+// routing index's affected-template sets across the batch and locks and
+// probes each bucket once per batch instead of once per update, applying
+// the batch's updates to the bucket in order while it holds the lock. The
+// decisions are identical, per update and in update order, to applying
+// the updates one at a time: a decision depends only on the update
+// instance and the bucket-local state, bucket-local state after k
+// in-order applications is the same either way, and cross-bucket state is
+// never consulted. Only Stats.BucketWalks — the physical lock-and-probe
+// work — shrinks as the batch grows.
 //
 // The pass is built to stay off the allocator: per-batch working state
 // (the plans, the merged visit set) lives in a pooled batchScratch, visit
@@ -41,7 +41,7 @@ type updatePlan struct {
 
 	// blind marks an update the cache cannot steer by: a hidden template
 	// ID, or one this application does not know. It drops every bucket it
-	// reaches, exactly as OnUpdate's dropAllBuckets does.
+	// reaches.
 	blind  bool
 	routed bool
 	ids    []string // visit order for the decision log; shared, never written
@@ -96,31 +96,22 @@ func (c *Cache) putBatchScratch(bs *batchScratch) {
 	c.batchPool.Put(bs)
 }
 
-// OnUpdateBatch applies a monitoring interval's worth of completed updates
-// in one amortized pass and returns the total number of entries
-// invalidated. See OnUpdateBatchCounts for per-update counts.
-func (c *Cache) OnUpdateBatch(us []wire.SealedUpdate) int {
-	total := 0
-	for _, n := range c.OnUpdateBatchCounts(us) {
-		total += n
-	}
-	return total
-}
-
-// OnUpdateBatchCounts is OnUpdateBatch reporting per-update invalidation
-// counts: counts[i] is exactly what OnUpdate(us[i]) would have returned
-// had the batch been applied sequentially.
-func (c *Cache) OnUpdateBatchCounts(us []wire.SealedUpdate) []int {
+// OnUpdates applies the mixed invalidation strategy (§2.3) for a batch of
+// completed updates, in order, in one amortized pass, and returns
+// per-update invalidation counts: counts[i] is the number of entries
+// us[i] invalidated. Per cached entry, the strategy class follows from
+// the exposure levels of the update and of the entry's query. Every
+// per-bucket decision — including "inspected and kept" — lands in the
+// decision log and the invalidation counters; buckets the routing index
+// proves A = 0 are skipped outright and appear in no log (there is no
+// decision to make — the analysis already made it).
+func (c *Cache) OnUpdates(us []wire.SealedUpdate) []int {
 	counts := make([]int, len(us))
 	if len(us) == 0 {
 		return counts
 	}
 	c.updatesSeen.Add(int64(len(us)))
 	c.updatesC.Add(int64(len(us)))
-	// The shared histogram buckets durations at 1µs·2^i; encoding a batch
-	// of n updates as n microseconds makes bucket i read "batches of up
-	// to 2^i updates" (see obs.MCacheBatchSize).
-	c.batchSizes.Observe(time.Duration(len(us)) * time.Microsecond)
 
 	router := c.inv.Router()
 	bs := c.getBatchScratch(len(us))
@@ -147,8 +138,8 @@ func (c *Cache) OnUpdateBatchCounts(us []wire.SealedUpdate) []int {
 
 	// Hidden-template entries can only be handled blindly; every update
 	// drops the hidden bucket, so one probe serves the whole batch and
-	// the batch's first update owns the decision (sequentially, later
-	// updates find the bucket already empty and record nothing).
+	// the batch's first update owns the decision (later updates would
+	// find the bucket already empty and record nothing).
 	{
 		s := c.shardFor("")
 		s.mu.Lock()
@@ -170,9 +161,10 @@ func (c *Cache) OnUpdateBatchCounts(us []wire.SealedUpdate) []int {
 
 	// The merged visit set: the union of the batch's affected-template
 	// lists, grouped by shard. Blind members additionally visit every
-	// bucket that exists when their shard comes up, exactly the set
-	// dropAllBuckets would have walked (buckets only shrink during a
-	// batch — no store runs inside it — so nothing is missed).
+	// bucket that exists when their shard comes up. Each shard lock is
+	// held across its whole walk, so no concurrent Store can insert into
+	// the bucket map being ranged over; within the walk buckets only
+	// shrink, so nothing is missed.
 	for pi := range plans {
 		for _, id := range plans[pi].ids {
 			if bs.seen[id] || c.app.Query(id) == nil {
@@ -243,10 +235,10 @@ func (c *Cache) OnUpdateBatchCounts(us []wire.SealedUpdate) []int {
 		}
 	}
 
-	// Emit the decision log update-major, reproducing OnUpdate's order
-	// exactly: the hidden-bucket decision first, then — per update — its
-	// bucket decisions in affected-list order (blind updates: sorted by
-	// bucket ID, as dropAllBuckets records them), then its routing skips.
+	// Emit the decision log update-major, in the order a one-at-a-time
+	// application would produce: the hidden-bucket decision first, then —
+	// per update — its bucket decisions in affected-list order (blind
+	// updates: sorted by bucket ID), then its routing skips.
 	for pi := range plans {
 		p := &plans[pi]
 		if p.hasHidden {

@@ -3,9 +3,12 @@ package cache
 import (
 	"fmt"
 	"reflect"
+	"sort"
 	"sync"
 	"testing"
 
+	"dssp/internal/invalidate"
+	"dssp/internal/obs"
 	"dssp/internal/sqlparse"
 	"dssp/internal/template"
 	"dssp/internal/wire"
@@ -18,6 +21,7 @@ import (
 // keeps trace IDs and keys identical, so decision logs are comparable
 // byte for byte.
 type batchFixture struct {
+	name    string
 	exps    map[string]template.Exposure
 	queries []struct {
 		q wire.SealedQuery
@@ -28,11 +32,36 @@ type batchFixture struct {
 
 func newBatchFixture(t testing.TB) *batchFixture {
 	t.Helper()
-	f := &batchFixture{exps: map[string]template.Exposure{
+	f := newBatchFixtureWith(t, map[string]template.Exposure{
 		"Q1": template.ExpTemplate,
 		"Q3": template.ExpBlind,
 		"U2": template.ExpBlind,
-	}}
+	})
+	f.name = "mixed"
+	if f.updates[4].TemplateID != "" {
+		t.Fatal("U2 not blind")
+	}
+	return f
+}
+
+// stmtBatchFixture is the same workload at statement exposure throughout,
+// so routing skips the A = 0 pairs (U1 never touches Q3) and no bucket is
+// hidden, plus a forged update with an unknown template ID late in the
+// stream, which must drop every live bucket (Q2's last entry and all of
+// Q3) in template-ID order.
+func stmtBatchFixture(t testing.TB) *batchFixture {
+	t.Helper()
+	f := newBatchFixtureWith(t, stmtExposures())
+	f.name = "stmt"
+	forged := wire.SealedUpdate{TraceID: "forged", TemplateID: "U404", Exposure: template.ExpStmt}
+	f.updates = append(f.updates[:7:7], append([]wire.SealedUpdate{forged}, f.updates[7:]...)...)
+	return f
+}
+
+// newBatchFixtureWith seals the fixture workload at the given exposures.
+func newBatchFixtureWith(t testing.TB, exps map[string]template.Exposure) *batchFixture {
+	t.Helper()
+	f := &batchFixture{exps: exps}
 	_, codec, app := testStack(t, f.exps, Options{})
 	add := func(id string, param sqlparse.Value, rows ...int64) {
 		qt := app.Query(id)
@@ -57,9 +86,9 @@ func newBatchFixture(t testing.TB) *batchFixture {
 		}
 		f.updates = append(f.updates, su)
 	}
-	// Deletes that hit stored entries, deletes that miss, one blind
-	// update mid-stream (drops everything left), then deletes against the
-	// emptied cache.
+	// Deletes that hit stored entries, deletes that miss, one insert
+	// mid-stream (blind in the mixed fixture: it drops everything left),
+	// then more deletes.
 	sealU("U1", sqlparse.IntVal(0))
 	sealU("U1", sqlparse.IntVal(1))
 	sealU("U1", sqlparse.IntVal(999))
@@ -70,9 +99,6 @@ func newBatchFixture(t testing.TB) *batchFixture {
 	sealU("U1", sqlparse.IntVal(998))
 	sealU("U1", sqlparse.IntVal(5))
 	sealU("U1", sqlparse.IntVal(997))
-	if f.updates[4].TemplateID != "" {
-		t.Fatal("U2 not blind")
-	}
 	return f
 }
 
@@ -86,76 +112,185 @@ func (f *batchFixture) populate(t testing.TB) *Cache {
 	return c
 }
 
-// TestOnUpdateBatchParity is the core equivalence check: applying the
-// update stream through OnUpdateBatchCounts, at any batch size, must
-// produce the same per-update invalidation counts, the same decision log
-// (order included), the same surviving entries, and the same logical
-// stats as sequential OnUpdate — while making no more bucket walks.
-func TestOnUpdateBatchParity(t *testing.T) {
-	f := newBatchFixture(t)
+// refCache is the reference the batch walk is checked against: a
+// deliberately naive model of invalidation that applies each update on
+// its own, in order, deciding every cached entry with the unprepared
+// invalidate.Decide over one plain map — no routing index, prepared
+// updates, pools or lock striping. It starts from a snapshot of a real
+// cache's entries.
+type refCache struct {
+	app     *template.App
+	inv     *invalidate.Invalidator
+	buckets map[string]map[string]*Entry // template ID ("" = hidden) -> key -> entry
 
-	seq := f.populate(t)
-	var seqCounts []int
-	for _, u := range f.updates {
-		seqCounts = append(seqCounts, seq.OnUpdate(u))
+	decisions []Decision
+	skipped   int
+	updates   int
+}
+
+func newRefCache(c *Cache) *refCache {
+	r := &refCache{app: c.app, inv: c.inv, buckets: make(map[string]map[string]*Entry)}
+	c.Entries(func(e *Entry) {
+		id := e.Query.TemplateID
+		if r.buckets[id] == nil {
+			r.buckets[id] = make(map[string]*Entry)
+		}
+		r.buckets[id][e.Query.Key] = e
+	})
+	return r
+}
+
+// apply invalidates for one completed update and returns how many
+// entries died.
+func (r *refCache) apply(u wire.SealedUpdate) int {
+	r.updates++
+	dropped := 0
+	record := func(qLbl string, class invalidate.Class, n int) {
+		r.decisions = append(r.decisions, Decision{Trace: u.TraceID, UpdateTemplate: obs.Tmpl(u.TemplateID), QueryTemplate: qLbl, Class: class.String(), Dropped: n})
+		dropped += n
 	}
-	seqStats := seq.Stats()
-	seqDecisions := seq.Decisions()
-	seqDump := seq.Dump()
+	// Hidden-template entries can only be dropped blindly.
+	if n := len(r.buckets[""]); n > 0 {
+		delete(r.buckets, "")
+		record(obs.BlindTemplate, invalidate.Blind, n)
+	}
+	ut := r.app.Update(u.TemplateID)
+	if ut == nil {
+		// A blind or unknown update drops every bucket, in ID order.
+		var ids []string
+		for id, b := range r.buckets {
+			if len(b) > 0 {
+				ids = append(ids, id)
+			}
+		}
+		sort.Strings(ids)
+		for _, id := range ids {
+			n := len(r.buckets[id])
+			delete(r.buckets, id)
+			record(id, invalidate.Blind, n)
+		}
+		return dropped
+	}
+	ui := invalidate.UpdateInstance{Template: ut, Params: u.Params}
+	for _, qt := range r.app.Queries {
+		if pa, ok := r.inv.Analysis().Pair(ut.ID, qt.ID); ok && pa.AZero {
+			r.skipped++ // proved unaffected: no decision to make
+			continue
+		}
+		b := r.buckets[qt.ID]
+		if len(b) == 0 {
+			continue
+		}
+		var class invalidate.Class
+		n := 0
+		for key, e := range b {
+			class = invalidate.ClassFor(u.Exposure, e.Query.Exposure)
+			view := invalidate.CachedView{Template: qt, Params: e.Query.Params, Result: e.Result.Result}
+			if r.inv.Decide(class, ui, view) == invalidate.Invalidate {
+				delete(b, key)
+				n++
+			}
+		}
+		record(qt.ID, class, n)
+	}
+	return dropped
+}
 
+// dump mirrors Cache.Dump.
+func (r *refCache) dump() []string {
+	var out []string
+	for id, b := range r.buckets {
+		for key := range b {
+			out = append(out, id+"|"+key)
+		}
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestOnUpdateBatchParity is the core equivalence check: applying an
+// update stream through OnUpdates, at any batch size, must produce the
+// same per-update invalidation counts, the same decision log (order
+// included), the same surviving entries after every batch, and the same
+// logical stats as the naive one-update-at-a-time reference — while
+// batches larger than one make fewer bucket walks than batches of one.
+func TestOnUpdateBatchParity(t *testing.T) {
+	fixtures := []*batchFixture{newBatchFixture(t), stmtBatchFixture(t)}
+	singleWalks := make([]int, len(fixtures))
 	for _, size := range []int{1, 2, 4, 32} {
 		t.Run(fmt.Sprintf("size=%d", size), func(t *testing.T) {
-			c := f.populate(t)
-			var counts []int
-			for lo := 0; lo < len(f.updates); lo += size {
-				hi := lo + size
-				if hi > len(f.updates) {
-					hi = len(f.updates)
+			for fi, f := range fixtures {
+				walks := checkBatchParity(t, f, size)
+				if size == 1 {
+					singleWalks[fi] = walks
+				} else if walks >= singleWalks[fi] {
+					t.Errorf("%s: batch size %d amortized nothing: %d walks vs %d at size 1",
+						f.name, size, walks, singleWalks[fi])
 				}
-				counts = append(counts, c.OnUpdateBatchCounts(f.updates[lo:hi])...)
-			}
-			if !reflect.DeepEqual(counts, seqCounts) {
-				t.Errorf("per-update counts = %v, sequential = %v", counts, seqCounts)
-			}
-			if got := c.Decisions(); !reflect.DeepEqual(got, seqDecisions) {
-				t.Errorf("decision log diverged:\nbatch: %+v\nseq:   %+v", got, seqDecisions)
-			}
-			if got := c.Dump(); !reflect.DeepEqual(got, seqDump) {
-				t.Errorf("surviving entries = %v, sequential = %v", got, seqDump)
-			}
-			st := c.Stats()
-			if st.Invalidations != seqStats.Invalidations ||
-				st.BucketsVisited != seqStats.BucketsVisited ||
-				st.BucketsSkipped != seqStats.BucketsSkipped ||
-				st.UpdatesSeen != seqStats.UpdatesSeen {
-				t.Errorf("logical stats diverged: batch %+v, sequential %+v", st, seqStats)
-			}
-			if st.BucketWalks > seqStats.BucketWalks {
-				t.Errorf("batch made %d bucket walks, sequential only %d", st.BucketWalks, seqStats.BucketWalks)
-			}
-			if size > 1 && st.BucketWalks >= seqStats.BucketWalks {
-				t.Errorf("batch size %d amortized nothing: %d walks vs sequential %d",
-					size, st.BucketWalks, seqStats.BucketWalks)
 			}
 		})
 	}
 }
 
+// checkBatchParity replays f's updates in batches of size against a
+// fresh cache and the reference, and returns the cache's bucket walks.
+func checkBatchParity(t *testing.T, f *batchFixture, size int) int {
+	t.Helper()
+	c := f.populate(t)
+	ref := newRefCache(c)
+	var counts, refCounts []int
+	invalidations := 0
+	for lo := 0; lo < len(f.updates); lo += size {
+		hi := lo + size
+		if hi > len(f.updates) {
+			hi = len(f.updates)
+		}
+		counts = append(counts, c.OnUpdates(f.updates[lo:hi])...)
+		for _, u := range f.updates[lo:hi] {
+			n := ref.apply(u)
+			refCounts = append(refCounts, n)
+			invalidations += n
+		}
+		if got, want := c.Dump(), ref.dump(); !reflect.DeepEqual(got, want) {
+			t.Errorf("%s: after update %d: surviving entries = %v, reference = %v", f.name, hi, got, want)
+		}
+	}
+	if invalidations == 0 || len(ref.decisions) == 0 {
+		t.Fatalf("%s: degenerate fixture: %d invalidations, %d decisions", f.name, invalidations, len(ref.decisions))
+	}
+	if !reflect.DeepEqual(counts, refCounts) {
+		t.Errorf("%s: per-update counts = %v, reference = %v", f.name, counts, refCounts)
+	}
+	if got := c.Decisions(); !reflect.DeepEqual(got, ref.decisions) {
+		t.Errorf("%s: decision log diverged:\nbatch: %+v\nref:   %+v", f.name, got, ref.decisions)
+	}
+	st := c.Stats()
+	if st.Invalidations != invalidations ||
+		st.BucketsVisited != len(ref.decisions) ||
+		st.BucketsSkipped != ref.skipped ||
+		st.UpdatesSeen != ref.updates {
+		t.Errorf("%s: logical stats diverged: batch %+v, reference invalidations=%d visited=%d skipped=%d updates=%d",
+			f.name, st, invalidations, len(ref.decisions), ref.skipped, ref.updates)
+	}
+	return st.BucketWalks
+}
+
 // TestOnUpdateBatchEmptyAndSingleton pins the degenerate shapes: an empty
-// batch is a no-op, and a singleton batch equals one OnUpdate call.
+// batch is a no-op, and a singleton batch equals the reference applying
+// that one update.
 func TestOnUpdateBatchEmptyAndSingleton(t *testing.T) {
 	f := newBatchFixture(t)
 	c := f.populate(t)
-	if counts := c.OnUpdateBatchCounts(nil); len(counts) != 0 {
+	if counts := c.OnUpdates(nil); len(counts) != 0 {
 		t.Errorf("empty batch returned counts %v", counts)
 	}
 	if st := c.Stats(); st.UpdatesSeen != 0 || st.BucketWalks != 0 {
 		t.Errorf("empty batch did work: %+v", st)
 	}
-	n := c.OnUpdateBatch(f.updates[:1])
-	seq := f.populate(t)
-	if want := seq.OnUpdate(f.updates[0]); n != want {
-		t.Errorf("singleton batch dropped %d, OnUpdate %d", n, want)
+	ref := newRefCache(c)
+	counts := c.OnUpdates(f.updates[:1])
+	if want := ref.apply(f.updates[0]); len(counts) != 1 || counts[0] != want {
+		t.Errorf("singleton batch counts %v, reference dropped %d", counts, want)
 	}
 }
 
@@ -180,7 +315,7 @@ func auditLRU(t *testing.T, c *Cache) {
 }
 
 // TestDropAllBucketsStoreRace regression-tests Store racing blind
-// invalidation. Pre-fix, dropAllBuckets released each shard lock
+// invalidation. Pre-fix, the blind walk released each shard lock
 // mid-iteration to unlink LRU entries, and Store linked its entry into
 // the LRU only after releasing the shard lock — so a blind pass landing
 // between a store's bucket insert and its LRU link removed the entry
@@ -226,7 +361,7 @@ func TestDropAllBucketsStoreRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < iters; i++ {
-				c.OnUpdate(blind)
+				onUpdate(c, blind)
 			}
 		}()
 	}
@@ -234,7 +369,7 @@ func TestDropAllBucketsStoreRace(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < iters/8; i++ {
-			c.OnUpdateBatch(f.updates)
+			c.OnUpdates(f.updates)
 		}
 	}()
 	wg.Wait()
@@ -280,9 +415,9 @@ func TestLookupInvalidateLRURace(t *testing.T) {
 		defer wg.Done()
 		for i := 0; i < iters; i++ {
 			if i%2 == 0 {
-				c.OnUpdate(blind)
+				onUpdate(c, blind)
 			} else {
-				c.OnUpdate(f.updates[i%len(f.updates)])
+				onUpdate(c, f.updates[i%len(f.updates)])
 			}
 		}
 	}()
@@ -315,11 +450,11 @@ func TestOnUpdateBatchAllocBudget(t *testing.T) {
 			}
 			us[i] = su
 		}
-		c.OnUpdateBatch(us) // warm pools and instrument caches
-		allocs := testing.AllocsPerRun(50, func() { c.OnUpdateBatch(us) })
+		c.OnUpdates(us) // warm pools and instrument caches
+		allocs := testing.AllocsPerRun(50, func() { c.OnUpdates(us) })
 		budget := float64(4*size + 8)
 		if allocs > budget {
-			t.Errorf("size=%d: OnUpdateBatch allocated %.1f/op, budget %.0f", size, allocs, budget)
+			t.Errorf("size=%d: OnUpdates allocated %.1f/op, budget %.0f", size, allocs, budget)
 		}
 		if c.Len() == 0 {
 			t.Fatalf("size=%d: entries did not survive; budget measured empty buckets", size)
@@ -327,8 +462,9 @@ func TestOnUpdateBatchAllocBudget(t *testing.T) {
 	}
 }
 
-// BenchmarkOnUpdateBatch measures the amortization win: one batched pass
-// over n updates versus n sequential passes, against a populated cache
+// BenchmarkOnUpdateBatch measures the amortization win: one OnUpdates
+// pass over a batch of n updates (compare ns/op against n times the
+// size=1 result), against a populated cache
 // whose entries survive (statement inspection keeps them), so every
 // iteration walks the same buckets.
 func BenchmarkOnUpdateBatch(b *testing.B) {
@@ -350,7 +486,7 @@ func BenchmarkOnUpdateBatch(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.OnUpdateBatch(us)
+				c.OnUpdates(us)
 			}
 			if c.Len() == 0 {
 				b.Fatal("entries did not survive; benchmark walked empty buckets")

@@ -49,7 +49,7 @@ func benchBBoard(b *testing.B, opts Options, perTemplate int) (*Cache, *wire.Cod
 // sealSteadyU3 seals bboard's U3 (user registration) with a primary key and
 // nickname disjoint from every cached entry: statement inspection proves
 // DNI for all A > 0 buckets (Q5, Q9 by parameter disjointness; Q10 is
-// FK-shielded), so OnUpdate invalidates nothing and the cache contents stay
+// FK-shielded), so the update invalidates nothing and the cache contents stay
 // constant across benchmark iterations. The measured work is purely the
 // invalidation scan — which is exactly what routing elides.
 func sealSteadyU3(b *testing.B, codec *wire.Codec, app *template.App) wire.SealedUpdate {
@@ -64,10 +64,10 @@ func sealSteadyU3(b *testing.B, codec *wire.Codec, app *template.App) wire.Seale
 	return su
 }
 
-// BenchmarkCacheOnUpdate measures one invalidation pass over a populated
-// cache. routed consults the precomputed A > 0 index and visits only the
-// union-relation buckets; unrouted (DisableRouting, the pre-change
-// behaviour) walks every query-template bucket.
+// BenchmarkCacheOnUpdate measures one single-update invalidation pass
+// over a populated cache. routed consults the precomputed A > 0 index and
+// visits only the union-relation buckets; unrouted (DisableRouting, the
+// pre-routing behaviour) walks every query-template bucket.
 func BenchmarkCacheOnUpdate(b *testing.B) {
 	for _, bc := range []struct {
 		name    string
@@ -80,13 +80,13 @@ func BenchmarkCacheOnUpdate(b *testing.B) {
 			c, codec, app := benchBBoard(b, Options{DisableRouting: bc.disable}, 64)
 			su := sealSteadyU3(b, codec, app)
 			before := c.Len()
-			if dropped := c.OnUpdate(su); dropped != 0 {
+			if dropped := onUpdate(c, su); dropped != 0 {
 				b.Fatalf("steady-state update dropped %d entries", dropped)
 			}
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				c.OnUpdate(su)
+				onUpdate(c, su)
 			}
 			b.StopTimer()
 			if c.Len() != before {

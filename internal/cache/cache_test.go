@@ -31,6 +31,11 @@ func seal(t testing.TB, codec *wire.Codec, tm *template.Template, params ...sqlp
 	return sq
 }
 
+// onUpdate applies one update as a batch of one and returns its count.
+func onUpdate(c *Cache, u wire.SealedUpdate) int {
+	return c.OnUpdates([]wire.SealedUpdate{u})[0]
+}
+
 func result(rows ...int64) *engine.Result {
 	r := &engine.Result{Columns: []string{"v"}}
 	for _, v := range rows {
@@ -104,7 +109,7 @@ func TestOnUpdateTemplateLevel(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	dropped := c.OnUpdate(su)
+	dropped := onUpdate(c, su)
 	// Q1('bear') survives at view level only if toy 5 is absent from the
 	// result; with a bare result(1) the entry's view holds toy_id=1, so
 	// MVIS keeps it. Q2(5) must go. Q3 is ignorable.
@@ -124,7 +129,7 @@ func TestOnUpdateBlindUpdate(t *testing.T) {
 	c, codec, app := testStack(t, exps, Options{})
 	c.Store(seal(t, codec, app.Query("Q3"), sqlparse.StringVal("15213")), codec.SealResult(app.Query("Q3"), result(7)), false)
 	su, _ := codec.SealUpdate(app.Update("U1"), []sqlparse.Value{sqlparse.IntVal(5)})
-	if dropped := c.OnUpdate(su); dropped != 1 || c.Len() != 0 {
+	if dropped := onUpdate(c, su); dropped != 1 || c.Len() != 0 {
 		t.Errorf("blind update must clear everything: dropped=%d len=%d", dropped, c.Len())
 	}
 }
@@ -139,7 +144,7 @@ func TestOnUpdateBlindQueryEntries(t *testing.T) {
 	c.Store(sq, codec.SealResult(app.Query("Q3"), result(7)), false)
 	// Any update kills hidden-template entries, even ignorable ones.
 	su, _ := codec.SealUpdate(app.Update("U1"), []sqlparse.Value{sqlparse.IntVal(5)})
-	if dropped := c.OnUpdate(su); dropped != 1 {
+	if dropped := onUpdate(c, su); dropped != 1 {
 		t.Errorf("dropped = %d", dropped)
 	}
 }
@@ -151,7 +156,7 @@ func TestOnUpdateTemplateExposureDropsBucket(t *testing.T) {
 	c.Store(seal(t, codec, q2, sqlparse.IntVal(5)), codec.SealResult(q2, result(25)), false)
 	c.Store(seal(t, codec, q2, sqlparse.IntVal(6)), codec.SealResult(q2, result(30)), false)
 	su, _ := codec.SealUpdate(app.Update("U1"), []sqlparse.Value{sqlparse.IntVal(5)})
-	if dropped := c.OnUpdate(su); dropped != 2 {
+	if dropped := onUpdate(c, su); dropped != 2 {
 		t.Errorf("template-level invalidation must drop the whole bucket: %d", dropped)
 	}
 }

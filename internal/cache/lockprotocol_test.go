@@ -19,7 +19,7 @@ import (
 // — so the parked goroutine must still hold its shard lock, observably
 // via TryLock. The pre-fix protocol released the shard lock first
 // (Lookup touched after unlocking; Store linked after publishing its
-// bucket insert; dropAllBuckets unlocked mid-walk to unlink), which is
+// bucket insert; the blind walk unlocked mid-walk to unlink), which is
 // exactly the window where a concurrent invalidation and a late link
 // could strand a dead entry in the LRU; under the old protocol the
 // parked goroutine holds no shard lock and these tests fail.
@@ -76,7 +76,7 @@ func protocolFixture(t *testing.T) (*Cache, wire.SealedQuery, func(id string, pa
 	q1, r1 := mk("Q2", sqlparse.IntVal(1))
 	c.Store(q1, r1, false)
 	// A sealed update with an unknown template: the blind invalidation
-	// path (dropAllBuckets), without needing a blind exposure setup.
+	// path, without needing a blind exposure setup.
 	blind := wire.SealedUpdate{TraceID: "t-blind"}
 	return c, q1, mk, blind
 }
@@ -119,7 +119,7 @@ func TestBlindWalkUnlinksInsideShardCriticalSection(t *testing.T) {
 	c.lruMu.Lock()
 	done := make(chan int)
 	go func() {
-		done <- c.OnUpdate(blind)
+		done <- onUpdate(c, blind)
 	}()
 	waitShardHeld(t, c, "blind invalidation's unlink")
 	c.lruMu.Unlock()

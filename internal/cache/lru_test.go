@@ -56,7 +56,7 @@ func TestInvalidationUnlinksLRU(t *testing.T) {
 		c.Store(seal(t, codec, q2, sqlparse.IntVal(i)), codec.SealResult(q2, result(i)), false)
 	}
 	su, _ := codec.SealUpdate(app.Update("U1"), []sqlparse.Value{sqlparse.IntVal(2)})
-	if dropped := c.OnUpdate(su); dropped != 1 {
+	if dropped := onUpdate(c, su); dropped != 1 {
 		t.Fatalf("dropped = %d", dropped)
 	}
 	if c.lru.len != c.Len() {
@@ -100,7 +100,7 @@ func TestLRURandomizedConsistency(t *testing.T) {
 			c.Lookup(seal(t, codec, q2, sqlparse.IntVal(int64(rng.Intn(20)))))
 		default:
 			su, _ := codec.SealUpdate(app.Update("U1"), []sqlparse.Value{sqlparse.IntVal(int64(rng.Intn(20)))})
-			c.OnUpdate(su)
+			onUpdate(c, su)
 		}
 		if c.Len() != c.lru.len {
 			t.Fatalf("step %d: len %d != lru %d", step, c.Len(), c.lru.len)

@@ -41,7 +41,7 @@ func TestOnUpdateSkipsAZeroBuckets(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.OnUpdate(su)
+		onUpdate(c, su)
 		return c, c.Stats(), c.Decisions()
 	}
 
@@ -109,7 +109,7 @@ func TestOnUpdateUnknownTemplateDropsAll(t *testing.T) {
 	c, codec, app := testStack(t, stmtExposures(), Options{})
 	c.Store(seal(t, codec, app.Query("Q2"), sqlparse.IntVal(5)), codec.SealResult(app.Query("Q2"), result(25)), false)
 	c.Store(seal(t, codec, app.Query("Q3"), sqlparse.StringVal("15213")), codec.SealResult(app.Query("Q3"), result(7)), false)
-	dropped := c.OnUpdate(wire.SealedUpdate{
+	dropped := onUpdate(c, wire.SealedUpdate{
 		Exposure:   template.ExpStmt,
 		TraceID:    "forged",
 		TemplateID: "U99",
@@ -136,7 +136,7 @@ func TestDecisionLogBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.OnUpdate(su)
+		onUpdate(c, su)
 	}
 	log := c.Decisions()
 	if len(log) != 3 {

@@ -65,9 +65,9 @@ func TestConcurrentStress(t *testing.T) {
 				storeWorkers  = 4
 				updateWorkers = 2
 				opsPerWorker  = 2000
-				batchWorkers  = 1 // feed updates through OnUpdateBatch
+				batchWorkers  = 1 // feed updates through multi-update batches
 				batchSize     = 8
-				blindWorkers  = 1 // blind passes exercise dropAllBuckets
+				blindWorkers  = 1 // blind passes exercise the drop-everything walk
 				blindOps      = opsPerWorker / 4
 			)
 			var wg sync.WaitGroup
@@ -98,7 +98,7 @@ func TestConcurrentStress(t *testing.T) {
 				go func() {
 					defer wg.Done()
 					for i := 0; i < opsPerWorker; i++ {
-						c.OnUpdate(updates[(i*5+w*19)%len(updates)])
+						onUpdate(c, updates[(i*5+w*19)%len(updates)])
 					}
 				}()
 			}
@@ -112,7 +112,7 @@ func TestConcurrentStress(t *testing.T) {
 						for j := range batch {
 							batch[j] = updates[(i*batchSize+j*3+w*23)%len(updates)]
 						}
-						c.OnUpdateBatch(batch)
+						c.OnUpdates(batch)
 					}
 				}()
 			}
@@ -122,7 +122,7 @@ func TestConcurrentStress(t *testing.T) {
 					defer wg.Done()
 					blind := wire.SealedUpdate{TraceID: "stress-blind"}
 					for i := 0; i < blindOps; i++ {
-						c.OnUpdate(blind)
+						onUpdate(c, blind)
 					}
 				}()
 			}

@@ -24,7 +24,8 @@ import (
 	"dssp/internal/wire"
 )
 
-// Node is one DSSP node serving a single application.
+// Node is one DSSP node serving a single application. Its cache is what
+// the pipeline drives (pipeline.New(node.Cache, …)).
 type Node struct {
 	App   *template.App
 	Cache *cache.Cache
@@ -35,31 +36,6 @@ type Node struct {
 func NewNode(app *template.App, analysis *core.Analysis, opts cache.Options) *Node {
 	inv := invalidate.New(app, analysis)
 	return &Node{App: app, Cache: cache.New(app, inv, opts)}
-}
-
-// HandleQuery serves a sealed query from the cache, reporting whether it
-// was a hit.
-func (n *Node) HandleQuery(q wire.SealedQuery) (wire.SealedResult, bool) {
-	return n.Cache.Lookup(q)
-}
-
-// StoreResult caches a result fetched from the home server on a miss.
-func (n *Node) StoreResult(q wire.SealedQuery, r wire.SealedResult, empty bool) {
-	n.Cache.Store(q, r, empty)
-}
-
-// OnUpdateCompleted runs invalidation after the home server confirms an
-// update, returning the number of cache entries invalidated.
-func (n *Node) OnUpdateCompleted(u wire.SealedUpdate) int {
-	return n.Cache.OnUpdate(u)
-}
-
-// OnUpdatesCompleted runs invalidation for one monitoring interval's
-// batch of confirmed updates in a single amortized pass, returning
-// per-update invalidation counts (identical, update for update, to
-// sequential OnUpdateCompleted calls).
-func (n *Node) OnUpdatesCompleted(us []wire.SealedUpdate) []int {
-	return n.Cache.OnUpdateBatchCounts(us)
 }
 
 // Client is the trusted, application-side driver of the in-process
@@ -118,7 +94,7 @@ func (c *Client) Pipeline() *pipeline.Pipeline {
 		opts := pipeline.Options{MonitorInterval: c.MonitorInterval, Leakage: c.Leakage}
 		if c.HomeParts != nil {
 			opts.Fresh = pipeline.NewFreshnessParts(c.HomeParts.Parts())
-			c.pipe = pipeline.New(c.Node, c.HomeParts.Transport(), c.Tracer, opts)
+			c.pipe = pipeline.New(c.Node.Cache, c.HomeParts.Transport(), c.Tracer, opts)
 			return
 		}
 		var transport pipeline.Transport = pipeline.NewDirectTransport(c.Home)
@@ -131,7 +107,7 @@ func (c *Client) Pipeline() *pipeline.Pipeline {
 			}
 			transport = pipeline.NewReplicaSet(transport, hometier.Endpoints(c.HomeReplicas), opts.Fresh, reg)
 		}
-		c.pipe = pipeline.New(c.Node, transport, c.Tracer, opts)
+		c.pipe = pipeline.New(c.Node.Cache, transport, c.Tracer, opts)
 	})
 	return c.pipe
 }

@@ -2,16 +2,10 @@ package experiments
 
 import (
 	"fmt"
-	"math/rand"
 	"reflect"
 	"strings"
 
 	"dssp/internal/cache"
-	"dssp/internal/core"
-	"dssp/internal/dssp"
-	"dssp/internal/encrypt"
-	"dssp/internal/homeserver"
-	"dssp/internal/storage"
 	"dssp/internal/template"
 	"dssp/internal/wire"
 	"dssp/internal/workload"
@@ -25,15 +19,16 @@ type BatchRun struct {
 	Size          int
 	Batches       int
 	Invalidations int
-	BucketWalks   int // physical bucket probes under a shard lock
-	LogIdentical  bool
-	DumpIdentical bool
+	BucketWalks   int  // physical bucket probes under a shard lock
+	LogIdentical  bool // decision log equals the size-1 run's
+	DumpIdentical bool // surviving entries equal the size-1 run's
 }
 
 // BatchResult certifies that batched invalidation is a pure amortization:
-// on the same sealed update stream, every batch size produces the exact
-// sequential decision log and final cache image while walking each
-// affected bucket once per batch instead of once per update.
+// on the same sealed update stream, every batch size produces the decision
+// log and final cache image of batch size 1 — one update per pass, the
+// inline path — while walking each affected bucket once per batch instead
+// of once per update.
 type BatchResult struct {
 	App     string
 	Pages   int
@@ -41,148 +36,107 @@ type BatchResult struct {
 	Updates int
 	Entries int // cache entries at measurement start, identical per run
 
-	Sequential BatchRun // the per-update OnUpdate baseline
-	Runs       []BatchRun
+	// Runs holds one measurement per batch size; Runs[0] is always size 1,
+	// the baseline the others are diffed against.
+	Runs []BatchRun
 }
 
-// Passed reports whether every batch size reproduced the sequential
-// decisions exactly without ever walking more buckets.
+// Passed reports whether every batch size reproduced the size-1 decisions
+// exactly, with strictly fewer bucket walks above size 1.
 func (r *BatchResult) Passed() bool {
+	base := r.Runs[0]
 	for _, run := range r.Runs {
-		if !run.LogIdentical || !run.DumpIdentical ||
-			run.Invalidations != r.Sequential.Invalidations ||
-			run.BucketWalks > r.Sequential.BucketWalks {
+		if !run.LogIdentical || !run.DumpIdentical || run.Invalidations != base.Invalidations {
 			return false
 		}
-		if run.Size > 1 && run.BucketWalks >= r.Sequential.BucketWalks {
+		if run.Size > 1 && run.BucketWalks >= base.BucketWalks {
 			return false
 		}
 	}
 	return true
 }
 
-// WalkRatio reports sequential walks over the given batch size's walks —
-// the amortization factor the monitoring interval buys.
+// WalkRatio reports size-1 walks over the given batch size's walks — the
+// amortization factor the monitoring interval buys.
 func (r *BatchResult) WalkRatio(size int) float64 {
 	for _, run := range r.Runs {
 		if run.Size == size && run.BucketWalks > 0 {
-			return float64(r.Sequential.BucketWalks) / float64(run.BucketWalks)
+			return float64(r.Runs[0].BucketWalks) / float64(run.BucketWalks)
 		}
 	}
 	return 0
 }
 
-// BatchInvalidation replays a seeded benchmark workload to warm one DSSP
-// node per batch-size configuration identically — every node stores the
-// same sealed results, and no invalidation runs during the warm phase —
-// then applies the workload's sealed update stream to each: sequentially
-// (one OnUpdate per update) to the baseline node, and grouped into
-// batches of each size to the others. Decision logs and cache dumps are
-// diffed byte for byte against the baseline.
+// BatchInvalidation replays a seeded benchmark workload to warm one cache
+// per batch size identically — every cache stores the same sealed
+// results, and no invalidation runs during the warm phase — then applies
+// the workload's sealed update stream to each, grouped into batches of
+// that size. Size 1 always runs first (added if sizes omits it); every
+// other size's decision log and cache dump are diffed byte for byte
+// against it.
 func BatchInvalidation(b workload.Benchmark, pages int, seed int64, sizes []int) (*BatchResult, error) {
-	rng := rand.New(rand.NewSource(seed))
-	app := b.App()
-	db := storage.NewDatabase(app.Schema)
-	if err := b.Populate(db, rng); err != nil {
+	rp, err := newReplay(b, pages, seed)
+	if err != nil {
 		return nil, err
 	}
-	master := make([]byte, encrypt.KeySize)
-	rng.Read(master)
-	codec := wire.NewCodec(app, encrypt.MustNewKeyring(master), parityExposures(app))
-	analysis := core.Analyze(app, core.DefaultOptions())
-	home := homeserver.New(db, app, codec)
-
-	// Materialize the op stream first so every node replays identical
-	// sealed messages and the decision logs are sized so nothing wraps.
-	session := b.NewSession(rng)
-	var ops []workload.Op
-	updates := 0
-	for p := 0; p < pages; p++ {
-		page := session.NextPage()
-		ops = append(ops, page...)
-		for _, op := range page {
-			if op.Template.Kind != template.KQuery {
-				updates++
-			}
+	all := []int{1}
+	for _, size := range sizes {
+		if size < 1 {
+			return nil, fmt.Errorf("batch size %d", size)
+		}
+		if size > 1 {
+			all = append(all, size)
 		}
 	}
-	logSize := updates*(len(app.Queries)+2) + 16
-
-	nodes := make([]*dssp.Node, 1+len(sizes))
-	for i := range nodes {
-		nodes[i] = dssp.NewNode(app, analysis, cache.Options{DecisionLog: logSize})
+	caches := make([]*cache.Cache, len(all))
+	for i := range caches {
+		caches[i] = rp.newCache(cache.Options{})
 	}
 
-	// Warm phase: queries are cached on every node; updates execute on
-	// the home server (so later results reflect them) and are collected
-	// for the measurement phase, with no invalidation yet — all nodes
-	// reach the measurement start in the identical state.
-	res := &BatchResult{App: b.Name(), Pages: pages, Updates: updates}
+	// Warm phase: queries are cached everywhere; updates execute on the
+	// home server (so later results reflect them) and are collected for
+	// the measurement phase, with no invalidation yet — all caches reach
+	// the measurement start in the identical state.
+	res := &BatchResult{App: b.Name(), Pages: pages, Updates: rp.updates}
 	var stream []wire.SealedUpdate
-	for _, op := range ops {
+	for _, op := range rp.ops {
 		if op.Template.Kind == template.KQuery {
 			res.Queries++
-			sq, err := codec.SealQuery(op.Template, op.Params)
-			if err != nil {
+			if err := rp.query(op, caches...); err != nil {
 				return nil, err
-			}
-			var sealed wire.SealedResult
-			var empty, fetched bool
-			for _, n := range nodes {
-				if _, hit := n.HandleQuery(sq); hit {
-					continue
-				}
-				if !fetched {
-					sealed, empty, _, err = home.ExecQuery(sq)
-					if err != nil {
-						return nil, err
-					}
-					fetched = true
-				}
-				n.StoreResult(sq, sealed, empty)
 			}
 			continue
 		}
-		su, err := codec.SealUpdate(op.Template, op.Params)
+		su, err := rp.update(op)
 		if err != nil {
-			return nil, err
-		}
-		if _, _, err := home.ExecUpdate(su); err != nil {
 			return nil, err
 		}
 		stream = append(stream, su)
 	}
-	res.Entries = nodes[0].Cache.Len()
+	res.Entries = caches[0].Len()
 
-	// Measurement: the sequential baseline first, then each batch size.
-	base := nodes[0]
-	seq := BatchRun{Size: 1, Batches: len(stream), LogIdentical: true, DumpIdentical: true}
-	for _, su := range stream {
-		seq.Invalidations += base.OnUpdateCompleted(su)
-	}
-	seq.BucketWalks = base.Cache.Stats().BucketWalks
-	res.Sequential = seq
-	baseLog, baseDump := base.Cache.Decisions(), base.Cache.Dump()
-
-	for i, size := range sizes {
-		if size < 1 {
-			return nil, fmt.Errorf("batch size %d", size)
-		}
-		n := nodes[1+i]
+	// Measurement: size 1 first, then each larger size against it.
+	var baseLog []cache.Decision
+	var baseDump []string
+	for i, size := range all {
+		c := caches[i]
 		run := BatchRun{Size: size}
 		for off := 0; off < len(stream); off += size {
 			end := off + size
 			if end > len(stream) {
 				end = len(stream)
 			}
-			for _, inv := range n.OnUpdatesCompleted(stream[off:end]) {
+			for _, inv := range c.OnUpdates(stream[off:end]) {
 				run.Invalidations += inv
 			}
 			run.Batches++
 		}
-		run.BucketWalks = n.Cache.Stats().BucketWalks
-		run.LogIdentical = reflect.DeepEqual(n.Cache.Decisions(), baseLog)
-		run.DumpIdentical = reflect.DeepEqual(n.Cache.Dump(), baseDump)
+		run.BucketWalks = c.Stats().BucketWalks
+		if i == 0 {
+			baseLog, baseDump = c.Decisions(), c.Dump()
+		}
+		run.LogIdentical = reflect.DeepEqual(c.Decisions(), baseLog)
+		run.DumpIdentical = reflect.DeepEqual(c.Dump(), baseDump)
 		res.Runs = append(res.Runs, run)
 	}
 	return res, nil
@@ -193,24 +147,17 @@ func (r *BatchResult) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Batched invalidation on the %s workload (%d pages: %d queries, %d updates; %d warm entries)\n\n",
 		r.App, r.Pages, r.Queries, r.Updates, r.Entries)
-	rows := [][]string{{"batch size", "batches", "invalidations", "bucket walks", "walk ratio", "log", "dump"}}
-	row := func(run BatchRun, name string) []string {
-		ratio := "1.00x"
-		if run.BucketWalks > 0 {
-			ratio = fmt.Sprintf("%.2fx", float64(r.Sequential.BucketWalks)/float64(run.BucketWalks))
+	tick := func(ok bool) string {
+		if ok {
+			return "identical"
 		}
-		tick := func(ok bool) string {
-			if ok {
-				return "identical"
-			}
-			return "DIVERGED"
-		}
-		return []string{name, fmt.Sprint(run.Batches), fmt.Sprint(run.Invalidations),
-			fmt.Sprint(run.BucketWalks), ratio, tick(run.LogIdentical), tick(run.DumpIdentical)}
+		return "DIVERGED"
 	}
-	rows = append(rows, row(r.Sequential, "sequential"))
+	rows := [][]string{{"batch size", "batches", "invalidations", "bucket walks", "walk ratio", "log", "dump"}}
 	for _, run := range r.Runs {
-		rows = append(rows, row(run, fmt.Sprint(run.Size)))
+		rows = append(rows, []string{fmt.Sprint(run.Size), fmt.Sprint(run.Batches), fmt.Sprint(run.Invalidations),
+			fmt.Sprint(run.BucketWalks), fmt.Sprintf("%.2fx", r.WalkRatio(run.Size)),
+			tick(run.LogIdentical), tick(run.DumpIdentical)})
 	}
 	table(&b, rows)
 	verdict := "IDENTICAL decisions, amortized walks"

@@ -74,7 +74,7 @@ func NewHarness(app *template.App, opts HarnessOptions) *Harness {
 		DB:    db,
 		Node:  node,
 		Home:  home,
-		Pipe:  pipeline.New(node, transport, tracer, opts.Pipeline),
+		Pipe:  pipeline.New(node.Cache, transport, tracer, opts.Pipeline),
 		Reg:   reg,
 	}
 }

@@ -7,7 +7,6 @@ import (
 
 	"dssp/internal/cache"
 	"dssp/internal/core"
-	"dssp/internal/dssp"
 	"dssp/internal/encrypt"
 	"dssp/internal/homeserver"
 	"dssp/internal/invalidate"
@@ -66,10 +65,22 @@ func parityExposures(app *template.App) map[string]template.Exposure {
 	return m
 }
 
-// RouteParity replays a seeded benchmark workload against two DSSP nodes —
-// one routing invalidation through the index, one visiting every bucket —
-// and diffs their decision logs and invalidation counts.
-func RouteParity(b workload.Benchmark, pages int, seed int64) (*RouteParityResult, error) {
+// replay is the sealed operation stream both invalidation experiments
+// (RouteParity, BatchInvalidation) drive their caches with: a seeded
+// benchmark session's ops, materialized up front so every cache under
+// comparison replays identical sealed messages, over a populated home
+// server that executes each statement once.
+type replay struct {
+	app      *template.App
+	codec    *wire.Codec
+	analysis *core.Analysis
+	home     *homeserver.Server
+	ops      []workload.Op
+	updates  int
+	logSize  int // a decision-log bound no replay of ops can wrap
+}
+
+func newReplay(b workload.Benchmark, pages int, seed int64) (*replay, error) {
 	rng := rand.New(rand.NewSource(seed))
 	app := b.App()
 	db := storage.NewDatabase(app.Schema)
@@ -79,80 +90,110 @@ func RouteParity(b workload.Benchmark, pages int, seed int64) (*RouteParityResul
 	master := make([]byte, encrypt.KeySize)
 	rng.Read(master)
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(master), parityExposures(app))
-	analysis := core.Analyze(app, core.DefaultOptions())
-	router := invalidate.NewRouter(analysis)
-
-	// Materialize the op stream first, both so the two nodes replay the
-	// identical sealed messages and to size the decision logs so nothing
-	// wraps before the diff.
+	r := &replay{
+		app:      app,
+		codec:    codec,
+		analysis: core.Analyze(app, core.DefaultOptions()),
+		home:     homeserver.New(db, app, codec),
+	}
 	session := b.NewSession(rng)
-	var ops []workload.Op
-	updates := 0
 	for p := 0; p < pages; p++ {
 		page := session.NextPage()
-		ops = append(ops, page...)
+		r.ops = append(r.ops, page...)
 		for _, op := range page {
 			if op.Template.Kind != template.KQuery {
-				updates++
+				r.updates++
 			}
 		}
 	}
-	logSize := updates*(len(app.Queries)+2) + 16
+	r.logSize = r.updates*(len(app.Queries)+2) + 16
+	return r, nil
+}
 
-	routed := dssp.NewNode(app, analysis, cache.Options{DecisionLog: logSize})
-	unrouted := dssp.NewNode(app, analysis, cache.Options{DisableRouting: true, DecisionLog: logSize})
-	home := homeserver.New(db, app, codec)
+// newCache builds one cache under comparison, its decision log sized so
+// nothing wraps before the diff.
+func (r *replay) newCache(opts cache.Options) *cache.Cache {
+	opts.DecisionLog = r.logSize
+	return cache.New(r.app, invalidate.New(r.app, r.analysis), opts)
+}
 
-	res := &RouteParityResult{App: b.Name(), Pages: pages, Updates: updates}
-	for _, op := range ops {
+// query seals a query op and serves it from every cache, executing it at
+// the home server once for whichever caches miss.
+func (r *replay) query(op workload.Op, caches ...*cache.Cache) error {
+	sq, err := r.codec.SealQuery(op.Template, op.Params)
+	if err != nil {
+		return err
+	}
+	var sealed wire.SealedResult
+	var empty, fetched bool
+	for _, c := range caches {
+		if _, hit := c.Lookup(sq); hit {
+			continue
+		}
+		if !fetched {
+			if sealed, empty, _, err = r.home.ExecQuery(sq); err != nil {
+				return err
+			}
+			fetched = true
+		}
+		c.Store(sq, sealed, empty)
+	}
+	return nil
+}
+
+// update seals an update op and executes it at the home server.
+func (r *replay) update(op workload.Op) (wire.SealedUpdate, error) {
+	su, err := r.codec.SealUpdate(op.Template, op.Params)
+	if err != nil {
+		return su, err
+	}
+	_, _, err = r.home.ExecUpdate(su)
+	return su, err
+}
+
+// RouteParity replays a seeded benchmark workload against two caches —
+// one routing invalidation through the index, one visiting every bucket —
+// and diffs their decision logs and invalidation counts.
+func RouteParity(b workload.Benchmark, pages int, seed int64) (*RouteParityResult, error) {
+	rp, err := newReplay(b, pages, seed)
+	if err != nil {
+		return nil, err
+	}
+	routed := rp.newCache(cache.Options{})
+	unrouted := rp.newCache(cache.Options{DisableRouting: true})
+	res := &RouteParityResult{App: b.Name(), Pages: pages, Updates: rp.updates}
+	for _, op := range rp.ops {
 		if op.Template.Kind == template.KQuery {
 			res.Queries++
-			sq, err := codec.SealQuery(op.Template, op.Params)
-			if err != nil {
+			if err := rp.query(op, routed, unrouted); err != nil {
 				return nil, err
-			}
-			var sealed wire.SealedResult
-			var empty, fetched bool
-			for _, n := range []*dssp.Node{routed, unrouted} {
-				if _, hit := n.HandleQuery(sq); hit {
-					continue
-				}
-				if !fetched {
-					sealed, empty, _, err = home.ExecQuery(sq)
-					if err != nil {
-						return nil, err
-					}
-					fetched = true
-				}
-				n.StoreResult(sq, sealed, empty)
 			}
 			continue
 		}
-		su, err := codec.SealUpdate(op.Template, op.Params)
+		su, err := rp.update(op)
 		if err != nil {
 			return nil, err
 		}
-		if _, _, err := home.ExecUpdate(su); err != nil {
-			return nil, err
-		}
-		if routed.OnUpdateCompleted(su) != unrouted.OnUpdateCompleted(su) {
+		us := []wire.SealedUpdate{su}
+		if routed.OnUpdates(us)[0] != unrouted.OnUpdates(us)[0] {
 			res.OpMismatches++
 		}
 	}
 
-	rStats, uStats := routed.Cache.Stats(), unrouted.Cache.Stats()
+	rStats, uStats := routed.Stats(), unrouted.Stats()
 	res.RoutedInvalidations = rStats.Invalidations
 	res.UnroutedInvalidations = uStats.Invalidations
 	res.RoutedVisited = rStats.BucketsVisited
 	res.RoutedSkipped = rStats.BucketsSkipped
-	if routed.Cache.Len() != unrouted.Cache.Len() {
+	if routed.Len() != unrouted.Len() {
 		res.EntryDivergent++
 	}
 
 	// Diff the logs: drop every unrouted decision on a pair the analysis
 	// proved A = 0 (those are exactly the ones routing elides) and demand
 	// the remainder match the routed log decision for decision.
-	rLog, uLog := routed.Cache.Decisions(), unrouted.Cache.Decisions()
+	rLog, uLog := routed.Decisions(), unrouted.Decisions()
+	router := invalidate.NewRouter(rp.analysis)
 	res.RoutedDecisions, res.UnroutedDecisions = len(rLog), len(uLog)
 	filtered := make([]cache.Decision, 0, len(uLog))
 	for _, d := range uLog {

@@ -47,6 +47,24 @@ import (
 // instead of hanging the client forever.
 const DefaultTimeout = 30 * time.Second
 
+// Server-side timeouts every listener of the deployment applies (see
+// NewServer). ReadHeaderTimeout stops a client that trickles its request
+// headers from pinning a connection and its goroutine forever;
+// IdleTimeout reclaims keep-alive connections nobody reuses. Neither
+// bounds a request once its headers are in, so a long home-server
+// execution or a replica stream is never cut short.
+const (
+	ReadHeaderTimeout = 10 * time.Second
+	IdleTimeout       = 2 * time.Minute
+)
+
+// NewServer returns the http.Server every process listens with: handler
+// on addr, under ReadHeaderTimeout and IdleTimeout. A nil handler serves
+// http.DefaultServeMux (the pprof listeners).
+func NewServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{Addr: addr, Handler: handler, ReadHeaderTimeout: ReadHeaderTimeout, IdleTimeout: IdleTimeout}
+}
+
 // retryBackoff is the pause before the single idempotent-query retry.
 const retryBackoff = 100 * time.Millisecond
 
@@ -643,7 +661,7 @@ func NewNodeServerWithOptions(node *dssp.Node, homeURL string, client *http.Clie
 		Client:  client,
 		Reg:     reg,
 		Tracer:  tracer,
-		Pipe:    pipeline.New(node, transport, tracer, popts),
+		Pipe:    pipeline.New(node.Cache, transport, tracer, popts),
 	}
 }
 

@@ -126,7 +126,7 @@ func New(app *template.App, analysis *core.Analysis) *Invalidator {
 func (iv *Invalidator) Analysis() *core.Analysis { return iv.analysis }
 
 // Router returns the invalidation routing index precomputed from the
-// analysis. The cache's OnUpdate fast path visits only the buckets the
+// analysis. The cache's OnUpdates walk visits only the buckets the
 // router names.
 func (iv *Invalidator) Router() *Router { return iv.router }
 

@@ -67,8 +67,14 @@ func (b *batcher) flush() {
 	for i, pu := range batch {
 		us[i] = pu.su
 	}
+	if b.p.batchSizes != nil {
+		// The shared histogram buckets durations at 1µs·2^i; encoding a
+		// batch of n updates as n microseconds makes bucket i read
+		// "batches of up to 2^i updates" (see obs.MCacheBatchSize).
+		b.p.batchSizes.Observe(time.Duration(len(batch)) * time.Microsecond)
+	}
 	start := b.p.tracer.Now()
-	counts := b.p.cache.OnUpdatesCompleted(us)
+	counts := b.p.cache.OnUpdates(us)
 	// Each update's invalidate span gets its amortized share of the one
 	// batch walk, keeping the per-template stage histograms meaningful.
 	share := (b.p.tracer.Now() - start) / time.Duration(len(batch))
@@ -102,7 +108,7 @@ func (p *Pipeline) MonitorUpdate(su wire.SealedUpdate, seq uint64, done func(inv
 	}
 	if p.batcher == nil {
 		inv := p.tracer.StartSpan(su.TraceID, su.ParentSpan, obs.StageInvalidate, obs.Tmpl(su.TemplateID))
-		n := p.cache.OnUpdateCompleted(su)
+		n := p.cache.OnUpdates([]wire.SealedUpdate{su})[0]
 		inv.End()
 		if p.opts.Leakage != nil {
 			p.opts.Leakage.ObserveInvalidation(su, n)

@@ -46,16 +46,16 @@ type partitionOp struct {
 // partition 0 must not invalidate the Q3 entry owned by partition 1's
 // group, and U2 on partition 1 must.
 var partitionScript = []partitionOp{
-	{true, "Q1", []interface{}{"bear"}},                    // group 0: miss, store
-	{true, "Q3", []interface{}{"90001"}},                   // group 1: miss, store
-	{true, "Q2", []interface{}{1}},                         // group 0: miss, store
-	{true, "Q3", []interface{}{"90001"}},                   // group 1: hit
-	{false, "U1", []interface{}{1}},                        // partition 0: delete toy 1
-	{true, "Q3", []interface{}{"90001"}},                   // still a hit: U1 crossed no partition
-	{false, "U2", []interface{}{4, "4000-4", "90001"}},     // partition 1: new card in 90001
-	{true, "Q1", []interface{}{"bear"}},                    // group 0: miss again (toy 3 remains)
-	{true, "Q3", []interface{}{"90001"}},                   // group 1: miss again, two rows now
-	{true, "Q2", []interface{}{3}},                         // group 0: miss
+	{true, "Q1", []interface{}{"bear"}},                // group 0: miss, store
+	{true, "Q3", []interface{}{"90001"}},               // group 1: miss, store
+	{true, "Q2", []interface{}{1}},                     // group 0: miss, store
+	{true, "Q3", []interface{}{"90001"}},               // group 1: hit
+	{false, "U1", []interface{}{1}},                    // partition 0: delete toy 1
+	{true, "Q3", []interface{}{"90001"}},               // still a hit: U1 crossed no partition
+	{false, "U2", []interface{}{4, "4000-4", "90001"}}, // partition 1: new card in 90001
+	{true, "Q1", []interface{}{"bear"}},                // group 0: miss again (toy 3 remains)
+	{true, "Q3", []interface{}{"90001"}},               // group 1: miss again, two rows now
+	{true, "Q2", []interface{}{3}},                     // group 0: miss
 }
 
 // seedPartitionToystore seeds all three toystore relations: the toys of
@@ -171,7 +171,7 @@ func runDirectPartitionedReplicated(t *testing.T) adapterResult {
 	}
 
 	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
-	pipe := pipeline.New(node, pipeline.NewPartitionedTransport(parts), nil,
+	pipe := pipeline.New(node.Cache, pipeline.NewPartitionedTransport(parts), nil,
 		pipeline.Options{Fresh: fresh})
 	driveSealedScript(t, "direct-partitioned-replicated", app, codec, pipe)
 
@@ -262,10 +262,12 @@ func runHTTPPartitioned(t *testing.T) adapterResult {
 // workload, seeding all three relations.
 type partitionBench struct{ app *template.App }
 
-func (b *partitionBench) Name() string                               { return "partition-script" }
-func (b *partitionBench) App() *template.App                         { return b.app }
-func (b *partitionBench) Compulsory() map[string]template.Exposure   { return nil }
-func (b *partitionBench) NewSession(rng *rand.Rand) workload.Session { return &partitionSession{b.app, 0} }
+func (b *partitionBench) Name() string                             { return "partition-script" }
+func (b *partitionBench) App() *template.App                       { return b.app }
+func (b *partitionBench) Compulsory() map[string]template.Exposure { return nil }
+func (b *partitionBench) NewSession(rng *rand.Rand) workload.Session {
+	return &partitionSession{b.app, 0}
+}
 
 func (b *partitionBench) Populate(db *storage.Database, rng *rand.Rand) error {
 	iv, sv := sqlparse.IntVal, sqlparse.StringVal
@@ -390,7 +392,7 @@ func runShardedPartitionedInproc(t *testing.T) []nodeState {
 		}
 		opts := pipeline.Options{Fresh: pipeline.NewFreshnessParts(len(homes))}
 		backends[i] = shard.PipeBackend{
-			Pipe: pipeline.New(nodes[i], pipeline.NewPartitionedTransport(parts), nil, opts),
+			Pipe: pipeline.New(nodes[i].Cache, pipeline.NewPartitionedTransport(parts), nil, opts),
 		}
 	}
 	router := shard.NewRouter(shard.NewPlanner(shard.NewAffinity(shardedFleet), analysis), backends, nil, shard.Options{})
@@ -419,7 +421,7 @@ func runShardedSingleInproc(t *testing.T) []nodeState {
 	for i := range nodes {
 		nodes[i] = dssp.NewNode(app, analysis, cache.Options{})
 		backends[i] = shard.PipeBackend{
-			Pipe: pipeline.New(nodes[i], pipeline.NewDirectTransport(home), nil, pipeline.Options{}),
+			Pipe: pipeline.New(nodes[i].Cache, pipeline.NewDirectTransport(home), nil, pipeline.Options{}),
 		}
 	}
 	router := shard.NewRouter(shard.NewPlanner(shard.NewAffinity(shardedFleet), analysis), backends, nil, shard.Options{})

@@ -32,19 +32,17 @@ import (
 )
 
 // Cache is the DSSP node surface the pipeline drives: the cache lookup and
-// store halves of the query path, and invalidation monitoring for the
-// update path — one update at a time, or a whole monitoring interval's
-// batch at once. *dssp.Node implements it.
+// store halves of the query path, and invalidation for the update path.
+// *cache.Cache implements it.
 type Cache interface {
-	HandleQuery(q wire.SealedQuery) (wire.SealedResult, bool)
-	StoreResult(q wire.SealedQuery, r wire.SealedResult, empty bool)
-	OnUpdateCompleted(u wire.SealedUpdate) int
+	Lookup(q wire.SealedQuery) (wire.SealedResult, bool)
+	Store(q wire.SealedQuery, r wire.SealedResult, empty bool)
 
-	// OnUpdatesCompleted applies one monitoring interval's batch of
-	// completed updates in order and returns per-update invalidation
-	// counts — element i is what OnUpdateCompleted(us[i]) would have
-	// returned sequentially.
-	OnUpdatesCompleted(us []wire.SealedUpdate) []int
+	// OnUpdates applies a batch of completed updates in order and
+	// returns per-update invalidation counts. Inline invalidation passes
+	// a batch of one; a monitoring interval passes everything confirmed
+	// within it.
+	OnUpdates(us []wire.SealedUpdate) []int
 }
 
 // ExecQueryResult is the home server's answer to a forwarded query: the
@@ -123,8 +121,8 @@ type Options struct {
 
 	// MonitorInterval batches invalidation per the paper's §2.2
 	// monitoring model: confirmed updates accumulate in the pipeline's
-	// batcher and are applied together — via Cache.OnUpdatesCompleted,
-	// one amortized bucket walk per batch — when the interval expires.
+	// batcher and are applied together — via Cache.OnUpdates, one
+	// amortized bucket walk per batch — when the interval expires.
 	// The first update of an idle period arms the flush timer. An
 	// update's completion callback fires at the flush with its exact
 	// per-update invalidation count, so callers see at most one interval
@@ -189,9 +187,11 @@ type Pipeline struct {
 	reg       *obs.Registry
 	opts      Options
 
-	// coalesced counts misses that joined an existing flight. Registered
+	// coalesced counts misses that joined an existing flight, and
+	// batchSizes the size of each monitoring-interval flush. Registered
 	// eagerly so every deployment exposes the same metric shape.
-	coalesced *obs.Counter
+	coalesced  *obs.Counter
+	batchSizes *obs.Histogram
 
 	mu      sync.Mutex
 	flights map[string]*flight
@@ -225,6 +225,7 @@ func New(cache Cache, transport Transport, tracer *obs.Tracer, opts Options) *Pi
 	}
 	if p.reg != nil {
 		p.coalesced = p.reg.Counter(obs.MCoalescedMisses)
+		p.batchSizes = p.reg.Histogram(obs.MCacheBatchSize)
 	}
 	if opts.MonitorInterval > 0 {
 		p.batcher = newBatcher(p, opts)
@@ -265,7 +266,7 @@ func (p *Pipeline) Query(ctx context.Context, sq wire.SealedQuery, done func(Que
 	tmpl := obs.Tmpl(sq.TemplateID)
 	start := p.tracer.Now()
 	lk := p.tracer.StartSpan(sq.TraceID, sq.ParentSpan, obs.StageLookup, tmpl)
-	res, hit := p.cache.HandleQuery(sq)
+	res, hit := p.cache.Lookup(sq)
 	lk.End()
 	if p.opts.Leakage != nil {
 		p.opts.Leakage.ObserveQuery(sq, hit)
@@ -310,7 +311,7 @@ func (p *Pipeline) Query(ctx context.Context, sq wire.SealedQuery, done func(Que
 	p.transport.ExecQuery(ctx, sq, func(er ExecQueryResult, err error) {
 		net.End()
 		if err == nil {
-			p.cache.StoreResult(sq, er.Result, er.Empty)
+			p.cache.Store(sq, er.Result, er.Empty)
 			if p.opts.Leakage != nil {
 				p.opts.Leakage.ObserveResult(sq, er.Result)
 			}

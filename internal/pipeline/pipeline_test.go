@@ -22,14 +22,14 @@ func newFakeCache() *fakeCache {
 	return &fakeCache{store: make(map[string]wire.SealedResult)}
 }
 
-func (c *fakeCache) HandleQuery(q wire.SealedQuery) (wire.SealedResult, bool) {
+func (c *fakeCache) Lookup(q wire.SealedQuery) (wire.SealedResult, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	r, ok := c.store[q.Key]
 	return r, ok
 }
 
-func (c *fakeCache) StoreResult(q wire.SealedQuery, r wire.SealedResult, empty bool) {
+func (c *fakeCache) Store(q wire.SealedQuery, r wire.SealedResult, empty bool) {
 	if empty {
 		return
 	}
@@ -38,18 +38,14 @@ func (c *fakeCache) StoreResult(q wire.SealedQuery, r wire.SealedResult, empty b
 	c.mu.Unlock()
 }
 
-func (c *fakeCache) OnUpdateCompleted(u wire.SealedUpdate) int {
+// OnUpdates drops everything on each update, in order.
+func (c *fakeCache) OnUpdates(us []wire.SealedUpdate) []int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	n := len(c.store)
-	c.store = make(map[string]wire.SealedResult)
-	return n
-}
-
-func (c *fakeCache) OnUpdatesCompleted(us []wire.SealedUpdate) []int {
 	counts := make([]int, len(us))
 	for i := range us {
-		counts[i] = c.OnUpdateCompleted(us[i])
+		counts[i] = len(c.store)
+		c.store = make(map[string]wire.SealedResult)
 	}
 	return counts
 }

@@ -200,7 +200,7 @@ func runShardedReplicatedInproc(t *testing.T) []nodeState {
 		opts := pipeline.Options{Fresh: pipeline.NewFreshness()}
 		transport := pipeline.NewReplicaSet(
 			pipeline.NewDirectTransport(home), hometier.Endpoints(reps), opts.Fresh, nil)
-		backends[i] = shard.PipeBackend{Pipe: pipeline.New(nodes[i], transport, nil, opts)}
+		backends[i] = shard.PipeBackend{Pipe: pipeline.New(nodes[i].Cache, transport, nil, opts)}
 	}
 	router := shard.NewRouter(shard.NewPlanner(shard.NewAffinity(shardedFleet), analysis), backends, nil, shard.Options{})
 	driveSealed(t, app, codec, pipeline.New(router, router, nil, pipeline.Options{}))

@@ -95,7 +95,7 @@ func runShardedInproc(t *testing.T) []nodeState {
 	for i := range nodes {
 		nodes[i] = dssp.NewNode(app, analysis, cache.Options{})
 		backends[i] = shard.PipeBackend{
-			Pipe: pipeline.New(nodes[i], pipeline.NewDirectTransport(home), nil, pipeline.Options{}),
+			Pipe: pipeline.New(nodes[i].Cache, pipeline.NewDirectTransport(home), nil, pipeline.Options{}),
 		}
 	}
 	router := shard.NewRouter(shard.NewPlanner(shard.NewAffinity(shardedFleet), analysis), backends, nil, shard.Options{})

@@ -368,7 +368,7 @@ func TestRouterLeaveExecNodeMidBatch(t *testing.T) {
 		t.Fatal(err)
 	}
 	targets, _ := r.Planner().Targets(su)
-	total := r.OnUpdateCompleted(su)
+	total := r.OnUpdates([]wire.SealedUpdate{su})[0]
 	if total < 1 {
 		t.Errorf("fleet invalidation count %d lost the exec node's own count", total)
 	}

@@ -67,7 +67,7 @@ type Options struct {
 // implements both pipeline.Cache and pipeline.Transport, so a pipeline
 // built as pipeline.New(r, r, …) is the routed deployment's pathway:
 // the cache half always misses (the router holds no entries of its own;
-// StoreResult is a no-op) and the transport half proxies to the owning
+// Store is a no-op) and the transport half proxies to the owning
 // node — which means the pipeline's single-flight miss coalescing now
 // works fleet-wide, and the update pathway's confirm-then-monitor
 // ordering drives the fan-out at exactly the right moment.
@@ -113,7 +113,7 @@ type Router struct {
 
 	// execInv stashes the exec node's invalidation count and the
 	// update's confirmed home sequence between the transport's
-	// ExecUpdate and the cache half's OnUpdateCompleted for the same
+	// ExecUpdate and the cache half's OnUpdates for the same
 	// update, keyed by trace ID. A stack per key keeps totals right even
 	// if trace IDs collide (e.g. pre-tracing messages with an empty ID).
 	mu      sync.Mutex
@@ -219,16 +219,16 @@ func (r *Router) proxyError(kind string) {
 	r.count(obs.MRouterProxyErrors, obs.L(obs.LKind, kind))
 }
 
-// HandleQuery implements pipeline.Cache. The router caches nothing
-// itself, so every query "misses" into the transport half, which proxies
-// it to the owning node's cache.
-func (r *Router) HandleQuery(wire.SealedQuery) (wire.SealedResult, bool) {
+// Lookup implements pipeline.Cache. The router caches nothing itself, so
+// every query "misses" into the transport half, which proxies it to the
+// owning node's cache.
+func (r *Router) Lookup(wire.SealedQuery) (wire.SealedResult, bool) {
 	return wire.SealedResult{}, false
 }
 
-// StoreResult implements pipeline.Cache as a no-op: the owning node
-// already stored the result on its own miss path.
-func (r *Router) StoreResult(wire.SealedQuery, wire.SealedResult, bool) {}
+// Store implements pipeline.Cache as a no-op: the owning node already
+// stored the result on its own miss path.
+func (r *Router) Store(wire.SealedQuery, wire.SealedResult, bool) {}
 
 // routeQuery resolves a sealed query's target node. Template traffic
 // follows the current ring. Blind traffic consults the blind-key cache
@@ -351,17 +351,11 @@ func (r *Router) popExecInv(trace string) (execResult, bool) {
 	return n, true
 }
 
-// OnUpdateCompleted implements pipeline.Cache: the pipeline calls it once
-// the home server (via the exec node) has confirmed the update, which is
-// exactly when the invalidation fan-out must run. Returns the fleet-wide
-// invalidation count.
-func (r *Router) OnUpdateCompleted(su wire.SealedUpdate) int {
-	return r.fanOut(su)
-}
-
-// OnUpdatesCompleted implements pipeline.Cache for a batched monitoring
-// interval at the router: each update fans out in turn.
-func (r *Router) OnUpdatesCompleted(us []wire.SealedUpdate) []int {
+// OnUpdates implements pipeline.Cache: the pipeline calls it once the
+// home server (via the exec node) has confirmed the updates, which is
+// exactly when the invalidation fan-out must run. Each update fans out in
+// turn; counts[i] is us[i]'s fleet-wide invalidation count.
+func (r *Router) OnUpdates(us []wire.SealedUpdate) []int {
 	counts := make([]int, len(us))
 	for i, su := range us {
 		counts[i] = r.fanOut(su)

@@ -595,7 +595,7 @@ func Simulate(cfg Config) (*Result, error) {
 			}
 			partTransports[p] = transport
 		}
-		pipes[i] = pipeline.New(nodes[i], pipeline.NewPartitionedTransport(partTransports), nodeTracer, popts)
+		pipes[i] = pipeline.New(nodes[i].Cache, pipeline.NewPartitionedTransport(partTransports), nodeTracer, popts)
 	}
 	for i := 0; i < cfg.Nodes; i++ {
 		buildNode(i)

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"strings"
 	"testing"
 
@@ -177,5 +178,48 @@ func TestBlindKeyIncludesParams(t *testing.T) {
 	y, _ := c2.SealQuery(app2.Query("Q2"), []sqlparse.Value{sqlparse.IntVal(5)})
 	if x.Key == y.Key {
 		t.Error("blind keys collide across templates")
+	}
+}
+
+// TestKeyringsSeparateSealedStatements pins the isolation two
+// applications get from distinct keyrings, even when they share a
+// template set: the same statement seals to different ciphertexts at every
+// exposure level, to different lookup keys wherever the key is keyed
+// (blind and template exposure — at stmt and view exposure the key is
+// the statement itself, in the clear by design), and neither side can
+// open the other's payloads or results.
+func TestKeyringsSeparateSealedStatements(t *testing.T) {
+	app := apps.Toystore()
+	params := []sqlparse.Value{sqlparse.IntVal(5)}
+	res := &engine.Result{Columns: []string{"qty"}, Rows: [][]sqlparse.Value{{sqlparse.IntVal(25)}}}
+	for _, exp := range []template.Exposure{template.ExpBlind, template.ExpTemplate, template.ExpStmt, template.ExpView} {
+		exps := map[string]template.Exposure{"Q2": exp}
+		a := NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), exps)
+		other := make([]byte, encrypt.KeySize)
+		other[0] = 1
+		b := NewCodec(app, encrypt.MustNewKeyring(other), exps)
+
+		sa, err := a.SealQuery(app.Query("Q2"), params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sb, err := b.SealQuery(app.Query("Q2"), params)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bytes.Equal(sa.Opaque, sb.Opaque) {
+			t.Errorf("%v: two keyrings sealed the same statement to one ciphertext", exp)
+		}
+		if keyed := exp <= template.ExpTemplate; keyed && sa.Key == sb.Key {
+			t.Errorf("%v: two keyrings sealed the same statement to one lookup key %q", exp, sa.Key)
+		}
+		if _, _, err := b.OpenPayload(sa.Opaque); err == nil {
+			t.Errorf("%v: a foreign keyring opened the statement payload", exp)
+		}
+		if exp != template.ExpView {
+			if _, err := b.OpenResult(a.SealResult(app.Query("Q2"), res)); err == nil {
+				t.Errorf("%v: a foreign keyring opened the sealed result", exp)
+			}
+		}
 	}
 }
