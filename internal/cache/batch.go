@@ -144,7 +144,7 @@ func (c *Cache) OnUpdates(us []wire.SealedUpdate) []int {
 		s := c.shardFor("")
 		s.mu.Lock()
 		c.countWalk()
-		if bucket := s.buckets[""]; len(bucket) > 0 {
+		if bucket := s.buckets[""]; bucket.size() > 0 {
 			removed := collect(bucket)
 			delete(s.buckets, "")
 			c.unlink(removed)
@@ -176,6 +176,7 @@ func (c *Cache) OnUpdates(us []wire.SealedUpdate) []int {
 		}
 	}
 
+	inspected := 0
 	for si, s := range c.shards {
 		ids := bs.perShard[si]
 		if len(ids) == 0 && !anyBlind {
@@ -195,12 +196,12 @@ func (c *Cache) OnUpdates(us []wire.SealedUpdate) []int {
 		for _, id := range ids {
 			c.countWalk()
 			bucket := s.buckets[id]
-			if len(bucket) == 0 {
+			if bucket.size() == 0 {
 				continue
 			}
 			qt := c.app.Query(id)
 			for k := range plans {
-				if len(bucket) == 0 {
+				if bucket.size() == 0 {
 					break // emptied by an earlier update of this batch
 				}
 				p := &plans[k]
@@ -220,7 +221,8 @@ func (c *Cache) OnUpdates(us []wire.SealedUpdate) []int {
 				if qt == nil || (p.routed && router.AZero(p.u.TemplateID, id)) {
 					continue // not an affected bucket for this update
 				}
-				class, removed := c.applyToBucket(s, id, qt, p.u, p.pu, bucket, router)
+				class, removed, n := c.applyToBucket(s, id, qt, p.u, p.pu, bucket, router)
+				inspected += n
 				freed += len(removed)
 				counts[k] += len(removed)
 				p.decs = append(p.decs, Decision{Trace: p.u.TraceID, UpdateTemplate: p.uLbl, QueryTemplate: id, Class: class.String(), Dropped: len(removed)})
@@ -233,6 +235,10 @@ func (c *Cache) OnUpdates(us []wire.SealedUpdate) []int {
 		if freed > 0 {
 			c.entries.Add(int64(-freed))
 		}
+	}
+	if inspected > 0 {
+		c.entriesInspected.Add(int64(inspected))
+		c.inspectedC.Add(int64(inspected))
 	}
 
 	// Emit the decision log update-major, in the order a one-at-a-time

@@ -22,6 +22,7 @@ import (
 // byte for byte.
 type batchFixture struct {
 	name    string
+	newApp  func() *template.App // nil: apps.Toystore
 	exps    map[string]template.Exposure
 	queries []struct {
 		q wire.SealedQuery
@@ -102,10 +103,21 @@ func newBatchFixtureWith(t testing.TB, exps map[string]template.Exposure) *batch
 	return f
 }
 
+// cache returns an empty cache over the fixture's application.
+func (f *batchFixture) cache(t testing.TB, opts Options) *Cache {
+	t.Helper()
+	if f.newApp == nil {
+		c, _, _ := testStack(t, f.exps, opts)
+		return c
+	}
+	c, _, _ := testStackFor(t, f.newApp(), f.exps, opts)
+	return c
+}
+
 // populate loads the fixture's entries into a fresh cache.
 func (f *batchFixture) populate(t testing.TB) *Cache {
 	t.Helper()
-	c, _, _ := testStack(t, f.exps, Options{DecisionLog: 4096})
+	c := f.cache(t, Options{DecisionLog: 4096})
 	for _, s := range f.queries {
 		c.Store(s.q, s.r, false)
 	}
@@ -215,7 +227,7 @@ func (r *refCache) dump() []string {
 // logical stats as the naive one-update-at-a-time reference — while
 // batches larger than one make fewer bucket walks than batches of one.
 func TestOnUpdateBatchParity(t *testing.T) {
-	fixtures := []*batchFixture{newBatchFixture(t), stmtBatchFixture(t)}
+	fixtures := []*batchFixture{newBatchFixture(t), stmtBatchFixture(t), viewBatchFixture(t)}
 	singleWalks := make([]int, len(fixtures))
 	for _, size := range []int{1, 2, 4, 32} {
 		t.Run(fmt.Sprintf("size=%d", size), func(t *testing.T) {
@@ -254,6 +266,7 @@ func checkBatchParity(t *testing.T, f *batchFixture, size int) int {
 		if got, want := c.Dump(), ref.dump(); !reflect.DeepEqual(got, want) {
 			t.Errorf("%s: after update %d: surviving entries = %v, reference = %v", f.name, hi, got, want)
 		}
+		auditIndex(t, c)
 	}
 	if invalidations == 0 || len(ref.decisions) == 0 {
 		t.Fatalf("%s: degenerate fixture: %d invalidations, %d decisions", f.name, invalidations, len(ref.decisions))

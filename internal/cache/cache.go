@@ -17,8 +17,12 @@
 // buckets those are comes from the invalidation routing index
 // (invalidate.Router): the static analysis proves A = 0 pairs can never
 // need invalidation, so OnUpdates skips their buckets without inspecting
-// anything. The LRU list of a bounded cache lives under its own lock, and
-// the decision log under another, so no single mutex serializes the node.
+// anything. Within a statement- or view-exposed bucket, an index from
+// each pinned query parameter to its entries (bucket.go) narrows the
+// per-entry decisions to the entries whose parameter equals a value the
+// update fixes. The LRU list of a bounded cache lives under its own lock,
+// and the decision log under another, so no single mutex serializes the
+// node.
 package cache
 
 import (
@@ -116,6 +120,13 @@ type Stats struct {
 	// probes each bucket of its merged affected set once instead of once
 	// per update.
 	BucketWalks int
+
+	// EntriesInspected counts cached entries an invalidation pass ran a
+	// per-entry (statement or view inspection) decision on. Buckets whose
+	// parameters an update pins inspect only the entries holding a pinned
+	// value, so this falls below the bucket sizes while every decision
+	// stays the same.
+	EntriesInspected int
 }
 
 // Decision is one entry of the invalidation-decision log: which update
@@ -150,7 +161,7 @@ type tmplInstruments struct {
 // instrument handles for those buckets.
 type shard struct {
 	mu      sync.Mutex
-	buckets map[string]map[string]*Entry // template ID ("" = hidden) -> key -> entry
+	buckets map[string]*bucket // template ID ("" = hidden) -> bucket
 	perTmpl map[string]*tmplInstruments
 
 	hits, misses, stores int
@@ -197,8 +208,9 @@ type Cache struct {
 	// OnUpdates.
 	batchPool sync.Pool
 
-	updatesSeen atomic.Int64
-	bucketWalks atomic.Int64
+	updatesSeen      atomic.Int64
+	bucketWalks      atomic.Int64
+	entriesInspected atomic.Int64
 
 	reg        *obs.Registry
 	storesC    *obs.Counter
@@ -207,6 +219,7 @@ type Cache struct {
 	visitedC   *obs.Counter
 	skippedC   *obs.Counter
 	walksC     *obs.Counter
+	inspectedC *obs.Counter
 	entries    *obs.Gauge
 }
 
@@ -233,6 +246,7 @@ func New(app *template.App, inv *invalidate.Invalidator, opts Options) *Cache {
 		visitedC:    reg.Counter(obs.MCacheBucketsVisited),
 		skippedC:    reg.Counter(obs.MCacheBucketsSkipped),
 		walksC:      reg.Counter(obs.MCacheBucketWalks),
+		inspectedC:  reg.Counter(obs.MCacheEntriesInspected),
 		entries:     reg.Gauge(obs.MCacheEntries),
 		decisions:   make([]Decision, logSize),
 		decCounters: make(map[decKey]*obs.Counter),
@@ -243,7 +257,7 @@ func New(app *template.App, inv *invalidate.Invalidator, opts Options) *Cache {
 	}
 	for i := range c.shards {
 		c.shards[i] = &shard{
-			buckets: make(map[string]map[string]*Entry),
+			buckets: make(map[string]*bucket),
 			perTmpl: make(map[string]*tmplInstruments),
 		}
 	}
@@ -359,6 +373,7 @@ func (c *Cache) Stats() Stats {
 	c.lruMu.Unlock()
 	st.UpdatesSeen = int(c.updatesSeen.Load())
 	st.BucketWalks = int(c.bucketWalks.Load())
+	st.EntriesInspected = int(c.entriesInspected.Load())
 	return st
 }
 
@@ -368,7 +383,7 @@ func (c *Cache) Len() int {
 	for _, s := range c.shards {
 		s.mu.Lock()
 		for _, b := range s.buckets {
-			n += len(b)
+			n += b.size()
 		}
 		s.mu.Unlock()
 	}
@@ -382,7 +397,7 @@ func (c *Cache) Lookup(q wire.SealedQuery) (wire.SealedResult, bool) {
 	ti := s.tmpl(c, obs.Tmpl(q.TemplateID))
 	var e *Entry
 	if b := s.buckets[q.TemplateID]; b != nil {
-		e = b[q.Key]
+		e = b.entries[q.Key]
 	}
 	if e == nil {
 		s.misses++
@@ -426,11 +441,10 @@ func (c *Cache) Store(q wire.SealedQuery, r wire.SealedResult, empty bool) {
 	s.mu.Lock()
 	b := s.buckets[q.TemplateID]
 	if b == nil {
-		b = make(map[string]*Entry)
+		b = c.newBucket(q.TemplateID, q.Exposure)
 		s.buckets[q.TemplateID] = b
 	}
-	old := b[q.Key]
-	b[q.Key] = e
+	old := b.put(e)
 	s.stores++
 	// Link into the LRU inside the same critical section as the bucket
 	// insert, so no invalidation can observe the entry in its bucket but
@@ -450,43 +464,73 @@ func (c *Cache) Store(q wire.SealedQuery, r wire.SealedResult, empty bool) {
 // applyToBucket applies one update instance against one non-empty bucket:
 // it picks the strategy class from the exposure pair, drops whole buckets
 // or individual entries accordingly, and unlinks whatever died from the
-// LRU. Called under the bucket's shard lock by the OnUpdates walk; the
-// caller owns the entries gauge and the decision log.
-func (c *Cache) applyToBucket(s *shard, id string, qt *template.Template, u wire.SealedUpdate, pu *invalidate.PreparedUpdate, bucket map[string]*Entry, router *invalidate.Router) (invalidate.Class, []*Entry) {
+// LRU. It returns the class, the dead entries, and how many entries it
+// decided one by one. Called under the bucket's shard lock by the
+// OnUpdates walk; the caller owns the entries gauge and the decision log.
+func (c *Cache) applyToBucket(s *shard, id string, qt *template.Template, u wire.SealedUpdate, pu *invalidate.PreparedUpdate, b *bucket, router *invalidate.Router) (invalidate.Class, []*Entry, int) {
 	// All entries in a bucket share a template and hence an exposure.
 	var sample *Entry
-	for _, e := range bucket {
+	for _, e := range b.entries {
 		sample = e
 		break
 	}
 	class := router.Class(u.Exposure, sample.Query.Exposure)
 	var removed []*Entry
+	inspected := 0
 	switch class {
 	case invalidate.Blind:
-		removed = collect(bucket)
+		removed = collect(b)
 		delete(s.buckets, id)
 	case invalidate.TemplateInspection:
 		if c.inv.DecidePrepared(class, pu, invalidate.CachedView{Template: qt}) == invalidate.Invalidate {
-			removed = collect(bucket)
+			removed = collect(b)
 			delete(s.buckets, id)
 		}
 	default: // statement or view inspection: per-entry decisions
-		for key, e := range bucket {
-			if c.inv.DecidePrepared(class, pu, e.view(c.app)) == invalidate.Invalidate {
-				delete(bucket, key)
-				removed = append(removed, e)
+		var ix *paramIndex
+		param, keys, pinned := pu.Pinned(id)
+		if pinned {
+			ix = b.indexFor(param)
+		}
+		if ix != nil {
+			// Entries outside the pinned keys are provably DNI.
+			for _, k := range keys {
+				removed = c.decideEach(class, pu, ix.byKey[k], removed)
+				inspected += len(ix.byKey[k])
 			}
+			removed = c.decideEach(class, pu, ix.loose, removed)
+			inspected += len(ix.loose)
+		} else {
+			for _, e := range b.entries {
+				if c.inv.DecidePrepared(class, pu, e.view(c.app)) == invalidate.Invalidate {
+					removed = append(removed, e)
+				}
+			}
+			inspected = len(b.entries)
+		}
+		for _, e := range removed {
+			b.remove(e)
 		}
 	}
 	c.unlink(removed)
-	return class, removed
+	return class, removed, inspected
+}
+
+// decideEach appends to removed the entries of es the update invalidates.
+func (c *Cache) decideEach(class invalidate.Class, pu *invalidate.PreparedUpdate, es []*Entry, removed []*Entry) []*Entry {
+	for _, e := range es {
+		if c.inv.DecidePrepared(class, pu, e.view(c.app)) == invalidate.Invalidate {
+			removed = append(removed, e)
+		}
+	}
+	return removed
 }
 
 // collect snapshots a bucket's entries. Called under the bucket's shard
 // lock.
-func collect(bucket map[string]*Entry) []*Entry {
-	out := make([]*Entry, 0, len(bucket))
-	for _, e := range bucket {
+func collect(b *bucket) []*Entry {
+	out := make([]*Entry, 0, len(b.entries))
+	for _, e := range b.entries {
 		out = append(out, e)
 	}
 	return out
@@ -498,7 +542,7 @@ func (c *Cache) Entries(f func(*Entry)) {
 	for _, s := range c.shards {
 		s.mu.Lock()
 		for _, b := range s.buckets {
-			for _, e := range b {
+			for _, e := range b.entries {
 				f(e)
 			}
 		}

@@ -15,7 +15,12 @@ import (
 
 func testStack(t testing.TB, exps map[string]template.Exposure, opts Options) (*Cache, *wire.Codec, *template.App) {
 	t.Helper()
-	app := apps.Toystore()
+	return testStackFor(t, apps.Toystore(), exps, opts)
+}
+
+// testStackFor is testStack over a given application.
+func testStackFor(t testing.TB, app *template.App, exps map[string]template.Exposure, opts Options) (*Cache, *wire.Codec, *template.App) {
+	t.Helper()
 	master := make([]byte, encrypt.KeySize)
 	codec := wire.NewCodec(app, encrypt.MustNewKeyring(master), exps)
 	inv := invalidate.New(app, core.Analyze(app, core.DefaultOptions()))

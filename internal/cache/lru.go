@@ -117,9 +117,8 @@ func (c *Cache) evict(v *Entry) {
 	s := c.shardFor(v.Query.TemplateID)
 	removed := false
 	s.mu.Lock()
-	if b := s.buckets[v.Query.TemplateID]; b != nil && b[v.Query.Key] == v {
-		delete(b, v.Query.Key)
-		if len(b) == 0 {
+	if b := s.buckets[v.Query.TemplateID]; b != nil && b.remove(v) {
+		if b.size() == 0 {
 			delete(s.buckets, v.Query.TemplateID)
 		}
 		removed = true

@@ -38,10 +38,12 @@ func (c *Cache) ExportBuckets(ids []string) []wire.BucketEntry {
 		seen[id] = true
 		s := c.shardFor(id)
 		s.mu.Lock()
-		for _, e := range s.buckets[id] {
-			// Query and Result are shared immutably with the live entry;
-			// the cache never mutates either in place.
-			out = append(out, exported{wire.BucketEntry{Query: e.Query, Result: e.Result}, e})
+		if b := s.buckets[id]; b != nil {
+			for _, e := range b.entries {
+				// Query and Result are shared immutably with the live
+				// entry; the cache never mutates either in place.
+				out = append(out, exported{wire.BucketEntry{Query: e.Query, Result: e.Result}, e})
+			}
 		}
 		s.mu.Unlock()
 	}
@@ -108,14 +110,14 @@ func (c *Cache) ImportBuckets(entries []wire.BucketEntry) int {
 		s.mu.Lock()
 		b := s.buckets[q.TemplateID]
 		if b == nil {
-			b = make(map[string]*Entry)
+			b = c.newBucket(q.TemplateID, q.Exposure)
 			s.buckets[q.TemplateID] = b
 		}
-		if b[q.Key] != nil {
+		if b.entries[q.Key] != nil {
 			s.mu.Unlock()
 			continue
 		}
-		b[q.Key] = e
+		b.put(e)
 		victims := c.trackInsert(e, nil)
 		s.mu.Unlock()
 		c.entries.Add(1)
@@ -145,7 +147,7 @@ func (c *Cache) DropBuckets(ids []string) int {
 		s := c.shardFor(id)
 		s.mu.Lock()
 		bucket := s.buckets[id]
-		if len(bucket) == 0 {
+		if bucket.size() == 0 {
 			s.mu.Unlock()
 			continue
 		}

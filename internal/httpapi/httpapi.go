@@ -151,6 +151,45 @@ type BucketDropResponse struct {
 // and replica-apply batches (the hub caps those at maxApplyBatch).
 const MaxFrameBytes = 16 << 20
 
+// MaxAdminBodyBytes bounds the JSON bodies of the admin routes (ring
+// join/leave, replica registration): a larger request is refused with
+// 413. Each is one small object naming a URL or a node.
+const MaxAdminBodyBytes = 64 << 10
+
+// readJSON decodes the request body, bounded by MaxAdminBodyBytes, as
+// one JSON value into v. It answers a failure itself — 413 past the
+// bound, 400 with usage otherwise — and reports whether the handler may
+// go on.
+func readJSON(w http.ResponseWriter, r *http.Request, v any, usage string) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, MaxAdminBodyBytes)).Decode(v)
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, new(*http.MaxBytesError)):
+		http.Error(w, fmt.Sprintf("%s: body exceeds %d bytes", usage, MaxAdminBodyBytes), http.StatusRequestEntityTooLarge)
+	default:
+		http.Error(w, usage, http.StatusBadRequest)
+	}
+	return false
+}
+
+// seqHeader reads a sequence-number header. An absent header is 0; a
+// present one that is not a single unsigned integer is answered with 400
+// here, so a mangled freshness floor is refused instead of read as "no
+// floor". ok reports whether the handler may go on.
+func seqHeader(w http.ResponseWriter, r *http.Request, name string) (seq uint64, ok bool) {
+	vals := r.Header.Values(name)
+	if len(vals) == 0 {
+		return 0, true
+	}
+	seq, err := strconv.ParseUint(vals[0], 10, 64)
+	if err != nil || len(vals) > 1 {
+		http.Error(w, fmt.Sprintf("%s: want one unsigned integer, got %q", name, vals), http.StatusBadRequest)
+		return 0, false
+	}
+	return seq, true
+}
+
 // frameContentType labels every frame body (and the migration stream).
 const frameContentType = "application/octet-stream"
 
@@ -509,9 +548,13 @@ func HomeHandlerWithHub(home *homeserver.Server, hub *ReplicaHub) http.Handler {
 	})
 	if hub != nil {
 		mux.HandleFunc("POST "+PathReplicaRegister, func(w http.ResponseWriter, r *http.Request) {
+			const usage = "replica register: need JSON body {\"url\": ...}"
 			var req ReplicaRegisterRequest
-			if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.URL == "" {
-				http.Error(w, "replica register: need JSON body {\"url\": ...}", http.StatusBadRequest)
+			if !readJSON(w, r, &req, usage) {
+				return
+			}
+			if req.URL == "" {
+				http.Error(w, usage, http.StatusBadRequest)
 				return
 			}
 			hub.Register(req.URL)
@@ -730,7 +773,10 @@ func (s *NodeServer) handleInvalidate(w http.ResponseWriter, r *http.Request) {
 	// sequence; it raises this node's freshness floor (when the node
 	// fronts replicas) before invalidation runs, so no later miss is
 	// served by a replica that hasn't applied the update.
-	seq, _ := strconv.ParseUint(r.Header.Get(ConfirmSeqHeader), 10, 64)
+	seq, ok := seqHeader(w, r, ConfirmSeqHeader)
+	if !ok {
+		return
+	}
 	ch := make(chan int, 1)
 	s.Pipe.MonitorUpdate(su, seq, func(invalidated int) { ch <- invalidated })
 	select {

@@ -18,6 +18,7 @@ import (
 	"dssp/internal/encrypt"
 	"dssp/internal/home"
 	"dssp/internal/homeserver"
+	"dssp/internal/sqlparse"
 	"dssp/internal/storage"
 	"dssp/internal/wire"
 )
@@ -130,5 +131,115 @@ func BenchmarkHTTPHit(b *testing.B) {
 		if err != nil || !r.Outcome.Hit {
 			b.Fatalf("query %d: hit=%v err=%v", i, err == nil && r.Outcome.Hit, err)
 		}
+	}
+}
+
+// TestMalformedSeqHeadersRefused: a freshness header that is present but
+// not one unsigned integer is refused with 400 instead of read as 0. On a
+// replica, 0 would mean serving with no freshness check; on a node, an
+// invalidation that never raises the floor. An absent header still
+// means 0.
+func TestMalformedSeqHeadersRefused(t *testing.T) {
+	app := apps.Toystore()
+	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
+	db := storage.NewDatabase(app.Schema)
+	seedToys(t, db)
+	rep := home.NewReplica("r", db, app, codec)
+	repSrv := httptest.NewServer(ReplicaHandler(rep))
+	defer repSrv.Close()
+	homeSrv := httptest.NewServer(HomeHandler(homeserver.New(storage.NewDatabase(app.Schema), app, codec)))
+	defer homeSrv.Close()
+	node := dssp.NewNode(app, core.Analyze(app, core.DefaultOptions()), cache.Options{})
+	nodeSrv := httptest.NewServer(NewNodeServer(node, homeSrv.URL, nil).Handler())
+	defer nodeSrv.Close()
+
+	sq, err := codec.SealQuery(app.Query("Q2"), []sqlparse.Value{sqlparse.IntVal(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	su, err := codec.SealUpdate(app.Update("U1"), []sqlparse.Value{sqlparse.IntVal(1)})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name, url, header string
+		body              []byte
+	}{
+		{"replica exec", repSrv.URL + PathExecQuery, MinSeqHeader, encodeFrame(sq)},
+		{"node invalidate", nodeSrv.URL + PathInvalidate, ConfirmSeqHeader, encodeFrame(su)},
+	}
+	for _, c := range cases {
+		for _, tc := range []struct {
+			vals []string
+			want int
+		}{
+			{nil, http.StatusOK},
+			{[]string{"0"}, http.StatusOK},
+			{[]string{"seven"}, http.StatusBadRequest},
+			{[]string{"-1"}, http.StatusBadRequest},
+			{[]string{""}, http.StatusBadRequest},
+			{[]string{"0", "9"}, http.StatusBadRequest},
+		} {
+			req, err := http.NewRequest(http.MethodPost, c.url, bytes.NewReader(c.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			req.Header.Set("Content-Type", frameContentType)
+			for _, v := range tc.vals {
+				req.Header.Add(c.header, v)
+			}
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s with %s %q: status %d, want %d", c.name, c.header, tc.vals, resp.StatusCode, tc.want)
+			}
+		}
+	}
+	if served := rep.QueriesServed(); served != 2 {
+		t.Errorf("replica served %d queries, want 2 (the two well-formed floors)", served)
+	}
+}
+
+// TestAdminBodiesBounded: the JSON admin routes read at most
+// MaxAdminBodyBytes and answer a larger body with 413, and a malformed
+// small one with 400.
+func TestAdminBodiesBounded(t *testing.T) {
+	app := apps.Toystore()
+	codec := wire.NewCodec(app, encrypt.MustNewKeyring(make([]byte, encrypt.KeySize)), nil)
+	hub := NewReplicaHub(nil, nil)
+	defer hub.Close()
+	homeSrv := httptest.NewServer(HomeHandlerWithHub(homeserver.New(storage.NewDatabase(app.Schema), app, codec), hub))
+	defer homeSrv.Close()
+	analysis := core.Analyze(app, core.DefaultOptions())
+	routerSrv := httptest.NewServer(NewRouterServer(analysis, []string{homeSrv.URL}, RouterOptions{}).Handler())
+	defer routerSrv.Close()
+
+	huge := `{"url": "http://` + strings.Repeat("a", MaxAdminBodyBytes) + `"}`
+	for _, url := range []string{routerSrv.URL + PathRingJoin, routerSrv.URL + PathRingLeave, homeSrv.URL + PathReplicaRegister} {
+		for _, tc := range []struct {
+			body string
+			want int
+		}{
+			{huge, http.StatusRequestEntityTooLarge},
+			{`{"url": `, http.StatusBadRequest},
+			{`{}`, http.StatusBadRequest},
+		} {
+			resp, err := http.Post(url, "application/json", strings.NewReader(tc.body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, _ = io.Copy(io.Discard, resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != tc.want {
+				t.Errorf("%s with a %d-byte body: status %d, want %d", url, len(tc.body), resp.StatusCode, tc.want)
+			}
+		}
+	}
+	if st := hub.Status(); len(st.Replicas) != 0 {
+		t.Errorf("refused registrations reached the hub: %+v", st)
 	}
 }

@@ -46,7 +46,10 @@ func ReplicaHandler(rep *home.Replica) http.Handler {
 		if !readFrame(w, r, &sq) {
 			return
 		}
-		minSeq, _ := strconv.ParseUint(r.Header.Get(MinSeqHeader), 10, 64)
+		minSeq, ok := seqHeader(w, r, MinSeqHeader)
+		if !ok {
+			return
+		}
 		if applied := rep.Applied(); applied < minSeq {
 			// The node's freshness floor is ahead of this replica: refuse
 			// rather than serve a result that predates an update the node

@@ -257,9 +257,13 @@ type RingResponse struct {
 // member answers 409: joining is not idempotent (each join mints a new
 // node ID), so the duplicate must be an operator error.
 func (s *RouterServer) handleRingJoin(w http.ResponseWriter, r *http.Request) {
+	const usage = "ring join: need JSON body {\"url\": ...}"
 	var req RingJoinRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || req.URL == "" {
-		http.Error(w, "ring join: need JSON body {\"url\": ...}", http.StatusBadRequest)
+	if !readJSON(w, r, &req, usage) {
+		return
+	}
+	if req.URL == "" {
+		http.Error(w, usage, http.StatusBadRequest)
 		return
 	}
 	warm := req.Warm == nil || *req.Warm
@@ -281,9 +285,13 @@ func (s *RouterServer) handleRingJoin(w http.ResponseWriter, r *http.Request) {
 
 // handleRingLeave retires a member (warm drain) or declares it dead.
 func (s *RouterServer) handleRingLeave(w http.ResponseWriter, r *http.Request) {
+	const usage = "ring leave: need JSON body {\"node\": ...} or {\"url\": ...}"
 	var req RingLeaveRequest
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil || (req.Node == nil && req.URL == "") {
-		http.Error(w, "ring leave: need JSON body {\"node\": ...} or {\"url\": ...}", http.StatusBadRequest)
+	if !readJSON(w, r, &req, usage) {
+		return
+	}
+	if req.Node == nil && req.URL == "" {
+		http.Error(w, usage, http.StatusBadRequest)
 		return
 	}
 	warm := req.Warm == nil || *req.Warm

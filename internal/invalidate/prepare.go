@@ -30,13 +30,21 @@ type colCons struct {
 // get returns the constraint accumulator for col, adding an empty one if
 // absent.
 func (cs *consSet) get(col string) *rangeCons {
+	if rc := cs.find(col); rc != nil {
+		return rc
+	}
+	cs.cols = append(cs.cols, colCons{col: col})
+	return &cs.cols[len(cs.cols)-1].rc
+}
+
+// find returns the constraint accumulator for col, or nil if absent.
+func (cs *consSet) find(col string) *rangeCons {
 	for i := range cs.cols {
 		if cs.cols[i].col == col {
 			return &cs.cols[i].rc
 		}
 	}
-	cs.cols = append(cs.cols, colCons{col: col})
-	return &cs.cols[len(cs.cols)-1].rc
+	return nil
 }
 
 // copyFrom makes cs an independent copy of src, reusing cs's backing
@@ -59,7 +67,8 @@ func (cs *consSet) sat() bool {
 
 // PreparedUpdate carries an update instance together with its prepared
 // inspection state: the parsed WHERE range constraints, the modification
-// post-image, and the materialized inserted row. It is immutable after
+// post-image, the materialized inserted row, and the values it pins
+// (Pinned). It is immutable after
 // Prepare and safe to share across goroutines deciding different entries.
 type PreparedUpdate struct {
 	u      UpdateInstance
@@ -67,6 +76,10 @@ type PreparedUpdate struct {
 	consOK bool             // deletions/modifications: WHERE parsed into before
 	before consSet          // deletions/modifications: WHERE constraints
 	after  consSet          // modifications: post-image constraints
+
+	pinTab map[string][]pin // query ID -> pins of this update's template; shared
+	pinned []pinnedVals     // per pinnable column of the template, by slot
+	pinBuf [4]pinnedVals    // backing for pinned, so Prepare allocates once
 }
 
 // Update returns the instance the prepared update was built from.
@@ -99,6 +112,7 @@ func (iv *Invalidator) Prepare(u UpdateInstance) *PreparedUpdate {
 			}
 		}
 	}
+	iv.preparePins(pu)
 	return pu
 }
 

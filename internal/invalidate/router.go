@@ -19,11 +19,17 @@ import (
 // template ID, and blind-query entries live in the hidden bucket). The
 // router therefore never changes a decision; it only avoids computing
 // decisions whose outcome the analysis already proved.
+//
+// Next to the A > 0 lists it holds the equality pins of those pairs
+// (pin.go): the query parameter an update template fixes through one
+// column, so the cache can inspect only the entries holding a pinned
+// value.
 type Router struct {
 	affected map[string][]string        // update ID -> query IDs with A > 0, in app order
 	azero    map[string]map[string]bool // update ID -> set of query IDs with A = 0
 	classes  [4][4]Class                // [update exposure][query exposure] -> class
 	queries  int                        // total query templates, for stats
+	pinTable                            // equality pins of the A > 0 pairs (pin.go)
 }
 
 // NewRouter precomputes the routing index from a static analysis.
@@ -51,6 +57,7 @@ func NewRouter(a *core.Analysis) *Router {
 		r.affected[u.ID] = hot
 		r.azero[u.ID] = cold
 	}
+	r.pinTable = buildPins(a.App.Schema, a.App, r.affected)
 	return r
 }
 

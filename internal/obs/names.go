@@ -25,6 +25,11 @@ const (
 	MCacheBucketsVisited = "dssp_cache_invalidation_buckets_visited_total"
 	MCacheBucketsSkipped = "dssp_cache_invalidation_buckets_skipped_total"
 
+	// Cached entries an invalidation pass decided one by one (statement
+	// or view inspection). An update that pins an indexed parameter
+	// inspects only the entries holding its pinned values.
+	MCacheEntriesInspected = "dssp_cache_invalidation_entries_inspected_total"
+
 	// Invalidation batching instruments. Bucket walks count every bucket
 	// probe made under a shard lock — the physical work batching
 	// amortizes, as opposed to buckets_visited, which counts logical

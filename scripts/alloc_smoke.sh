@@ -18,7 +18,7 @@ command -v jq >/dev/null || { echo "alloc_smoke: jq is required" >&2; exit 1; }
 # keeping the smoke fast.
 out=$(go test -run '^$' -bench 'BenchmarkSeal$|BenchmarkOpen$' -benchmem -benchtime 200x ./internal/encrypt)
 out+=$'\n'
-out+=$(go test -run '^$' -bench 'BenchmarkOnUpdateBatch' -benchmem -benchtime 200x ./internal/cache)
+out+=$(go test -run '^$' -bench 'BenchmarkOnUpdateBatch|BenchmarkOnUpdateViewBucket$' -benchmem -benchtime 200x ./internal/cache)
 out+=$'\n'
 out+=$(go test -run '^$' -bench 'BenchmarkRingOwner$' -benchmem -benchtime 200x ./internal/shard)
 out+=$'\n'
